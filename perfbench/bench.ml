@@ -146,7 +146,6 @@ let quartiles_line name unit l =
 
 let now = Spans.now_ns
 let ms ns = float_of_int ns /. 1e6
-let per_s work ns = float_of_int work /. (float_of_int ns /. 1e9)
 
 type tally = {
   mutable attempted : int;
@@ -187,37 +186,94 @@ let first_counts tally (plan : Wl.plan) =
        []
   |> List.sort compare
 
-(* Runs jobs 0, 1, 2, ... of the plan until [seconds] have passed and
-   at least [min_jobs] have run, so the tail always has jobs beyond it
-   even when one slow job takes most of the time.  Returns each job's
-   ns and work, and the throughput of each complete cycle. *)
-let min_jobs = 50
+(* Host speed.  The host's cores run other machines' work too, and
+   the speed they give this process drifts by up to a factor of two
+   over tens of seconds, in processor time as well as wall time.  So a
+   fixed kernel is timed before and after every timed piece of work,
+   and each end-to-end time is processor time scaled to the speed at
+   which the kernel takes [reference_ns]: it is reported in ms of a
+   host of that speed.  The kernel is the machine's hot loop in plain
+   OCaml, bytecode dispatch and string-keyed counter updates, because
+   host contention slows the workloads about as much as it slows that
+   loop (README.md).  It is the benchmark's own code and does not
+   allocate, so a change to the program cannot move it. *)
+let cpu_ns () = int_of_float (Sys.time () *. 1e9)
 
+let kernel_code = Array.init 4096 (fun i -> (i * 7919) lsr 3 land 7)
+
+let kernel_keys = Array.init 24 (Printf.sprintf "kernel.counter.%d")
+
+let kernel_tbl =
+  let t = Hashtbl.create 64 in
+  Array.iter (fun k -> Hashtbl.replace t k 0) kernel_keys;
+  t
+
+let kernel steps =
+  let acc = ref 0 in
+  for i = 1 to steps do
+    let op = kernel_code.(i land 4095) in
+    (match op with
+    | 0 -> acc := !acc + 1
+    | 1 -> acc := !acc lxor i
+    | 2 -> acc := !acc * 3
+    | 3 -> acc := !acc - i
+    | 4 -> acc := !acc + (i lsr 2)
+    | 5 -> acc := !acc land 0xffffff
+    | 6 -> acc := !acc + 7
+    | _ -> acc := !acc lsl 1);
+    let k = kernel_keys.((op * 3) + (i land 1)) in
+    Hashtbl.replace kernel_tbl k (Hashtbl.find kernel_tbl k + 1)
+  done;
+  !acc
+
+(* About the kernel's time on the 2-core host the bounds were set on,
+   in its faster spells. *)
+let reference_ns = 900_000.
+
+(* One run of about a millisecond, long enough to average over the
+   host's contention the way a job does. *)
+let kernel_ns () =
+  let t0 = cpu_ns () in
+  ignore (Sys.opaque_identity (kernel (Sys.opaque_identity 12_000)));
+  float_of_int (cpu_ns () - t0)
+
+(* [timed k f] runs [f] between kernel timings, [k] being the one taken
+   before it.  Returns [f]'s result, its scaled and raw processor ns,
+   and the kernel timing taken after it. *)
+let timed k f =
+  let t0 = cpu_ns () in
+  let r = f () in
+  let raw = cpu_ns () - t0 in
+  let k' = kernel_ns () in
+  (r, float_of_int raw *. reference_ns /. ((k +. k') /. 2.), raw, k')
+
+(* Runs jobs 0, 1, 2, ... of the plan until [seconds] have passed and a
+   cycle has ended, so every job of the cycle counts alike.  Every
+   cycle has at least 24 jobs, so the tail has ten jobs beyond it.
+   Returns each job's label, scaled ns, work and raw processor ns, and
+   the throughput of each cycle. *)
 let run_for ~seconds tally (plan : Wl.plan) =
   let deadline = now () + (seconds * 1_000_000_000) in
-  let jobs = ref [] and i = ref 0 in
-  while now () < deadline || !i < min_jobs do
+  let jobs = ref [] and i = ref 0 and k = ref (kernel_ns ()) in
+  while now () < deadline || !i mod plan.cycle <> 0 do
     let job = plan.job !i in
-    let t0 = now () in
-    let r = job.run () in
-    let t1 = now () in
+    let r, t, raw, k' = timed !k job.run in
+    k := k';
     record tally job r;
-    jobs := (job.label, t1 - t0, r.work) :: !jobs;
+    jobs := (job.label, t, r.work, raw) :: !jobs;
     incr i
   done;
   let jobs = List.rev !jobs in
-  (* Throughput per complete cycle, each job at the median time of all
-     its runs: a burst of host noise moves one run of a job, not the
-     figure.  Where jobs do not repeat this is each job's own rate. *)
+  (* Throughput per cycle, each job at the median time of all its runs:
+     a burst of host noise moves one run of a job, not the figure. *)
   let by_label = Hashtbl.create 64 in
   List.iter
-    (fun (l, t, _) ->
-      Hashtbl.replace by_label l
-        (float_of_int t :: Option.value ~default:[] (Hashtbl.find_opt by_label l)))
+    (fun (l, t, _, _) ->
+      Hashtbl.replace by_label l (t :: Option.value ~default:[] (Hashtbl.find_opt by_label l)))
     jobs;
   let rates = ref [] and c_time = ref 0. and c_work = ref 0 in
   List.iteri
-    (fun k (l, _, w) ->
+    (fun k (l, _, w, _) ->
       c_time := !c_time +. median (Hashtbl.find by_label l);
       c_work := !c_work + w;
       if (k + 1) mod plan.cycle = 0 then begin
@@ -226,7 +282,7 @@ let run_for ~seconds tally (plan : Wl.plan) =
         c_work := 0
       end)
     jobs;
-  (List.map (fun (_, t, w) -> (t, w)) jobs, List.rev !rates)
+  (jobs, List.rev !rates)
 
 let fmt v = Printf.sprintf "%.10g" v
 
@@ -240,13 +296,15 @@ let json_metrics l =
 
 (* Set-up runs five times; its median is setup_s. *)
 let setup (w : Wl.t) ~seed =
+  let k = ref (kernel_ns ()) in
   let runs =
     List.init 5 (fun _ ->
-        let t0 = now () in
-        let plan = w.setup ~seed () in
-        (float_of_int (now () - t0) /. 1e9, plan))
+        let plan, t, raw, k' = timed !k (w.setup ~seed) in
+        k := k';
+        (t /. 1e9, raw, plan))
   in
-  (List.map fst runs, snd (List.hd runs))
+  let _, _, plan = List.hd runs in
+  (List.map (fun (t, _, _) -> t) runs, List.map (fun (_, raw, _) -> raw) runs, plan)
 
 let peak_heap_mb () =
   float_of_int ((Gc.quick_stat ()).top_heap_words * (Sys.word_size / 8)) /. 1048576.
@@ -256,32 +314,31 @@ let print_counts counts =
   List.iter (fun (k, v) -> Printf.printf "  %-36s %d\n" k v) counts
 
 let end_to_end (w : Wl.t) ~seed ~seconds =
-  let setup_secs, plan = setup w ~seed in
+  let setup_secs, setup_raw, plan = setup w ~seed in
   let tally = tally () in
-  let jobs, cycles = run_for ~seconds tally plan in
-  let job_ms = List.map (fun (t, _) -> ms t) jobs in
-  (* A run shorter than one cycle falls back to the whole run. *)
-  let rate =
-    match cycles with
-    | [] ->
-        [ per_s (List.fold_left (fun a (_, wk) -> a + wk) 0 jobs)
-            (List.fold_left (fun a (t, _) -> a + t) 0 jobs) ]
-    | _ -> cycles
-  in
+  let jobs, rate = run_for ~seconds tally plan in
+  let job_ms = List.map (fun (_, t, _, _) -> t /. 1e6) jobs in
   let tail_v, tail_p, n = tail job_ms in
   Printf.printf "workload %s, seed %d: %d jobs run, %d complete cycles of %d\n" w.name seed n
-    (List.length cycles) plan.cycle;
+    (List.length rate) plan.cycle;
   let heap = peak_heap_mb () in
-  print_endline "wall-clock (median and quartiles):";
+  Printf.printf "times at the reference speed (median and quartiles; kernel %.6g us now):\n"
+    (kernel_ns () /. 1e3);
   print_endline (quartiles_line "setup_s" "s" setup_secs);
   print_endline (quartiles_line "job_ms" "ms" job_ms);
   print_endline (quartiles_line (w.work_unit ^ "_per_s") "1/s" rate);
   Printf.printf "  %-16s %.6g ms at p%.2f of %d jobs\n" "job_tail_ms" tail_v tail_p n;
   Printf.printf "  %-16s %d/%d = %.6g\n" "error_rate" tally.failed tally.attempted
     (Wl.ratio (float tally.failed) (float tally.attempted));
-  (* Not in the JSON: on campaign it is set by whether the run met one
-     of the rare audited programs that hold hundreds of MB (README.md). *)
+  (* Not in the JSON (README.md). *)
   Printf.printf "  %-16s %.6g MB (Gc top_heap_words)\n" "peak_heap_mb" heap;
+  print_endline "slowest jobs (ms at the reference speed):";
+  List.sort (fun (_, a, _, _) (_, b, _, _) -> compare b a) jobs
+  |> List.filteri (fun i _ -> i < 11)
+  |> List.iter (fun (l, t, _, _) -> Printf.printf "  %-36s %.6g\n" l (t /. 1e6));
+  print_endline "unscaled processor time (median and quartiles):";
+  print_endline (quartiles_line "setup_s" "s" (List.map (fun t -> float_of_int t /. 1e9) setup_raw));
+  print_endline (quartiles_line "job_ms" "ms" (List.map (fun (_, _, _, raw) -> ms raw) jobs));
   print_counts (first_counts tally plan);
   ( tally,
     [
@@ -295,7 +352,8 @@ let out_dir = ".perfbench_out"
 
 (* The traced run: each job runs untraced and traced, back to back,
    so host drift hits both alike.  Jobs run until [seconds] have
-   passed and a cycle ends, at least the counted ones.  The span budget
+   passed, in whole runs of the counted jobs (a cycle, except on
+   campaign, whose cycle is its whole pool).  The span budget
    stops it early where there is a span per simulated request (websim),
    so the written trace stays a few tens of MB. *)
 let span_budget = 200_000
@@ -308,10 +366,9 @@ let layer_run (w : Wl.t) ~seed ~seconds ~trace_out =
   let tally = tally () in
   let deadline = now () + (seconds * 1_000_000_000) in
   let plain = ref 0 and traced = ref 0 and i = ref 0 in
-  let least = max plan.cycle plan.counted in
   while
-    !i < least
-    || !i mod plan.cycle <> 0
+    !i < plan.counted
+    || !i mod plan.counted <> 0
     || (now () < deadline && sp.Spans.next < span_budget)
   do
     let job = plan.job !i in

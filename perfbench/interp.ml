@@ -42,8 +42,8 @@ let queens n =
   in
   place 0 [] [] []
 
-(* A program family: its name, the arguments a seed may draw, and for
-   each argument the program and its expected result.  [Repeat] loops
+(* A program family: its name, the arguments it runs at, and for each
+   argument the program and its expected result.  [Repeat] loops
    evaluate to 0. *)
 type family = {
   fam : string;
@@ -210,7 +210,7 @@ let job ?spans fam arg (cname, config) =
 
 let families ~effects = if effects then effect_families else compute_families
 
-(* Every (family, argument, configuration) a seed can draw. *)
+(* Every (family, argument, configuration) the workload runs. *)
 let all_labels ~effects =
   List.concat_map
     (fun f ->
@@ -219,9 +219,11 @@ let all_labels ~effects =
         f.args)
     (families ~effects)
 
-(* Three draws per (family, configuration), shuffled.  The warm-up
-   runs every family once per configuration at its first argument, so
-   set-up does the same work under every seed. *)
+(* Three jobs per (family, configuration): one at each argument, or
+   three at a family's only argument.  Every seed runs the same jobs,
+   so a seed cannot move the figures by drawing cheaper or dearer ones;
+   the seed draws their order.  The warm-up runs every family once per
+   configuration at its first argument. *)
 let setup ~effects ?spans ~seed () =
   let st = Random.State.make [| seed; (if effects then 2 else 1) |] in
   let fams = families ~effects in
@@ -233,7 +235,8 @@ let setup ~effects ?spans ~seed () =
     List.concat_map
       (fun f ->
         List.concat_map
-          (fun c -> List.init 3 (fun _ -> job ?spans f (Wl.pick st f.args) c))
+          (fun c ->
+            List.init 3 (fun k -> job ?spans f (List.nth f.args (k mod List.length f.args)) c))
           (configs_of ~effects f.fam))
       fams
   in

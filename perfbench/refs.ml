@@ -66,14 +66,6 @@ let websim : (string * string) list =
      "mc offered=15000 achieved=0x1.d58d3965dba0fp+13 goodput=0x1.d58d3965dba0fp+13 total=3004 completed=3004 errors=0 timeouts=0 retries=0 shed=0 malformed=0 server_errors=0 injected=0 gc=0 mean=0x1.8777d1a3f6749p+15 p50=38848 p90=85824 p99=146560 p999=202112 max=238647");
     ("plain-mc-15000#4",
      "mc offered=15000 achieved=0x1.e052576a698b9p+13 goodput=0x1.e052576a698b9p+13 total=3073 completed=3073 errors=0 timeouts=0 retries=0 shed=0 malformed=0 server_errors=0 injected=0 gc=0 mean=0x1.9dadd42e51793p+15 p50=41696 p90=92736 p99=165632 p999=215296 max=242504");
-    ("plain-mc-15000#5",
-     "mc offered=15000 achieved=0x1.d3744af846facp+13 goodput=0x1.d3744af846facp+13 total=2992 completed=2992 errors=0 timeouts=0 retries=0 shed=0 malformed=0 server_errors=0 injected=0 gc=0 mean=0x1.90b779d6ee34p+15 p50=39968 p90=86656 p99=164096 p999=230912 max=246204");
-    ("plain-mc-15000#6",
-     "mc offered=15000 achieved=0x1.cdefd02bbc0d7p+13 goodput=0x1.cdefd02bbc0d7p+13 total=2956 completed=2956 errors=0 timeouts=0 retries=0 shed=0 malformed=0 server_errors=0 injected=0 gc=0 mean=0x1.8c743e5ac2af5p+15 p50=39424 p90=84608 p99=152960 p999=249088 max=260298");
-    ("plain-mc-15000#7",
-     "mc offered=15000 achieved=0x1.cab33fef90a5bp+13 goodput=0x1.cab33fef90a5bp+13 total=2936 completed=2936 errors=0 timeouts=0 retries=0 shed=0 malformed=0 server_errors=0 injected=0 gc=0 mean=0x1.96b5d1f63bfd3p+15 p50=40416 p90=88768 p99=178176 p999=253952 max=309230");
-    ("plain-mc-15000#8",
-     "mc offered=15000 achieved=0x1.c91fe828c8e9cp+13 goodput=0x1.c91fe828c8e9cp+13 total=2926 completed=2926 errors=0 timeouts=0 retries=0 shed=0 malformed=0 server_errors=0 injected=0 gc=0 mean=0x1.7d57136c507ep+15 p50=38304 p90=82240 p99=135424 p999=201728 max=220000");
     ("plain-mc-30000#1",
      "mc offered=30000 achieved=0x1.ceffaa7148ffap+14 goodput=0x1.ceffaa7148ffap+14 total=2982 completed=2982 errors=0 timeouts=0 retries=0 shed=0 malformed=0 server_errors=0 injected=0 gc=0 mean=0x1.0ea53b942ca42p+19 p50=502016 p90=947200 p99=1121280 p999=1208320 max=1214339");
     ("plain-mc-30000#2",
@@ -82,14 +74,6 @@ let websim : (string * string) list =
      "mc offered=30000 achieved=0x1.cc6ec8cb1607dp+14 goodput=0x1.cc6ec8cb1607dp+14 total=3004 completed=3004 errors=0 timeouts=0 retries=0 shed=0 malformed=0 server_errors=0 injected=0 gc=0 mean=0x1.3ef3e077fd45ep+19 p50=544256 p90=1448960 p99=2059264 p999=2121728 max=2200105");
     ("plain-mc-30000#4",
      "mc offered=30000 achieved=0x1.d2555b389a9d2p+14 goodput=0x1.d2555b389a9d2p+14 total=3073 completed=3073 errors=0 timeouts=0 retries=0 shed=0 malformed=0 server_errors=0 injected=0 gc=0 mean=0x1.df1f5be3026a7p+20 p50=1755136 p90=3608576 p99=3997696 p999=4096000 max=4144251");
-    ("plain-mc-30000#5",
-     "mc offered=30000 achieved=0x1.cfadb843452dfp+14 goodput=0x1.cfadb843452dfp+14 total=2992 completed=2992 errors=0 timeouts=0 retries=0 shed=0 malformed=0 server_errors=0 injected=0 gc=0 mean=0x1.85391b0995382p+19 p50=783360 p90=1334272 p99=1770496 p999=2023424 max=2033248");
-    ("plain-mc-30000#6",
-     "mc offered=30000 achieved=0x1.c37280256d327p+14 goodput=0x1.c37280256d327p+14 total=2956 completed=2956 errors=0 timeouts=0 retries=0 shed=0 malformed=0 server_errors=0 injected=0 gc=0 mean=0x1.cb1902406eda4p+19 p50=643072 p90=2078720 p99=2402304 p999=2586624 max=2618481");
-    ("plain-mc-30000#7",
-     "mc offered=30000 achieved=0x1.c69e7b805038p+14 goodput=0x1.c69e7b805038p+14 total=2936 completed=2936 errors=0 timeouts=0 retries=0 shed=0 malformed=0 server_errors=0 injected=0 gc=0 mean=0x1.0a5323bfd35b6p+19 p50=544768 p90=940544 p99=1114112 p999=1178624 max=1217007");
-    ("plain-mc-30000#8",
-     "mc offered=30000 achieved=0x1.c4e36958f7826p+14 goodput=0x1.c4e36958f7826p+14 total=2926 completed=2926 errors=0 timeouts=0 retries=0 shed=0 malformed=0 server_errors=0 injected=0 gc=0 mean=0x1.0e6816bf6e6a1p+19 p50=488960 p90=1048576 p99=1422336 p999=1523712 max=1548924");
     ("plain-mc-45000#1",
      "mc offered=45000 achieved=0x1.d4363d28b60aap+14 goodput=0x1.d4363d28b60aap+14 total=2949 completed=2949 errors=0 timeouts=0 retries=0 shed=0 malformed=0 server_errors=0 injected=0 gc=0 mean=0x1.f5e73e64df45ep+23 p50=16416768 p90=29278208 p99=31965184 p999=32374784 max=32421527");
     ("plain-mc-45000#2",
@@ -98,14 +82,6 @@ let websim : (string * string) list =
      "mc offered=45000 achieved=0x1.d16ef4531f3c2p+14 goodput=0x1.d16ef4531f3c2p+14 total=2977 completed=2977 errors=0 timeouts=0 retries=0 shed=0 malformed=0 server_errors=0 injected=0 gc=0 mean=0x1.f877678e7d609p+23 p50=16490496 p90=30081024 p99=33587200 p999=33914880 max=33962313");
     ("plain-mc-45000#4",
      "mc offered=45000 achieved=0x1.d2e7033f8fb3bp+14 goodput=0x1.d2e7033f8fb3bp+14 total=3051 completed=3051 errors=0 timeouts=0 retries=0 shed=0 malformed=0 server_errors=0 injected=0 gc=0 mean=0x1.1702f1f0ba9bep+24 p50=17989632 p90=33144832 p99=35880960 p999=36110336 max=36131654");
-    ("plain-mc-45000#5",
-     "mc offered=45000 achieved=0x1.d1579d1970941p+14 goodput=0x1.d1579d1970941p+14 total=2967 completed=2967 errors=0 timeouts=0 retries=0 shed=0 malformed=0 server_errors=0 injected=0 gc=0 mean=0x1.00f6a21d29d8dp+24 p50=16375808 p90=29704192 p99=33095680 p999=33587200 max=33625533");
-    ("plain-mc-45000#6",
-     "mc offered=45000 achieved=0x1.d45c2d9db5d11p+14 goodput=0x1.d45c2d9db5d11p+14 total=2928 completed=2928 errors=0 timeouts=0 retries=0 shed=0 malformed=0 server_errors=0 injected=0 gc=0 mean=0x1.cb611805987b2p+23 p50=14172160 p90=28098560 p99=31326208 p999=31670272 max=31700021");
-    ("plain-mc-45000#7",
-     "mc offered=45000 achieved=0x1.d12557bff3b8p+14 goodput=0x1.d12557bff3b8p+14 total=2906 completed=2906 errors=0 timeouts=0 retries=0 shed=0 malformed=0 server_errors=0 injected=0 gc=0 mean=0x1.e38dab4f1ba95p+23 p50=15581184 p90=27967488 p99=31326208 p999=31621120 max=31644867");
-    ("plain-mc-45000#8",
-     "mc offered=45000 achieved=0x1.d28edf69b73b9p+14 goodput=0x1.d28edf69b73b9p+14 total=2892 completed=2892 errors=0 timeouts=0 retries=0 shed=0 malformed=0 server_errors=0 injected=0 gc=0 mean=0x1.cbae737973138p+23 p50=14598144 p90=27901952 p99=30621696 p999=30851072 max=30890436");
     ("faults-mc-30000#1",
      "mc offered=30000 achieved=0x1.96a581f9a7984p+14 goodput=0x1.96a581f9a7984p+14 total=2982 completed=2952 errors=30 timeouts=0 retries=42 shed=0 malformed=30 server_errors=17 injected=127 gc=0 mean=0x1.027bd90214d02p+23 p50=8376320 p90=12869632 p99=13426688 p999=24494080 max=25401953");
     ("faults-mc-30000#2",
@@ -114,14 +90,6 @@ let websim : (string * string) list =
      "mc offered=30000 achieved=0x1.8ab158fe914f9p+14 goodput=0x1.8ab158fe914f9p+14 total=3004 completed=2978 errors=26 timeouts=0 retries=55 shed=0 malformed=26 server_errors=15 injected=141 gc=0 mean=0x1.c18aba3d8ccfp+22 p50=6549504 p90=16572416 p99=17891328 p999=27230208 max=32709343");
     ("faults-mc-30000#4",
      "mc offered=30000 achieved=0x1.82cff7c5c34d9p+14 goodput=0x1.82cff7c5c34d9p+14 total=3073 completed=3054 errors=19 timeouts=0 retries=206 shed=159 malformed=19 server_errors=15 injected=145 gc=0 mean=0x1.66950bb6e7b0ep+23 p50=11182080 p90=22118400 p99=25853952 p999=32686080 max=36223785");
-    ("faults-mc-30000#5",
-     "mc offered=30000 achieved=0x1.8abd2bb6da837p+14 goodput=0x1.8abd2bb6da837p+14 total=2992 completed=2964 errors=28 timeouts=0 retries=46 shed=0 malformed=28 server_errors=18 injected=134 gc=0 mean=0x1.514739cd8f5fbp+23 p50=11698176 p90=17072128 p99=18104320 p999=34766848 max=34857426");
-    ("faults-mc-30000#6",
-     "mc offered=30000 achieved=0x1.7d17c6c9313a7p+14 goodput=0x1.7d17c6c9313a7p+14 total=2956 completed=2927 errors=29 timeouts=0 retries=124 shed=94 malformed=29 server_errors=9 injected=121 gc=0 mean=0x1.0ef97f98720ccp+23 p50=6463488 p90=17891328 p99=20873216 p999=22577152 max=30169195");
-    ("faults-mc-30000#7",
-     "mc offered=30000 achieved=0x1.83937f1fa439dp+14 goodput=0x1.83937f1fa439dp+14 total=2936 completed=2912 errors=24 timeouts=0 retries=34 shed=0 malformed=24 server_errors=14 injected=111 gc=0 mean=0x1.ef410efd2fd3p+22 p50=7163904 p90=13934592 p99=16285696 p999=26935296 max=28896134");
-    ("faults-mc-30000#8",
-     "mc offered=30000 achieved=0x1.6cdc7a3fa1651p+14 goodput=0x1.6cdc7a3fa1651p+14 total=2926 completed=2911 errors=15 timeouts=0 retries=62 shed=14 malformed=15 server_errors=22 injected=139 gc=0 mean=0x1.35d9c598676b9p+23 p50=8429568 p90=20037632 p99=23396352 p999=34209792 max=39463362");
     ("supervised-mc#1",
      "mc: total=3000 ok=3000 5xx=0 4xx=0 killed=0 drained=0 rejected=0 lost=0 silent=0 conns_aborted=0 restarts=0 escalations=0 watchdog_kills=0 chaos=- outcome=completed drain_ns=-1 p50_ns=32064 p99_ns=36928");
     ("supervised-mc#2",
@@ -130,14 +98,6 @@ let websim : (string * string) list =
      "mc: total=3000 ok=3000 5xx=0 4xx=0 killed=0 drained=0 rejected=0 lost=0 silent=0 conns_aborted=0 restarts=0 escalations=0 watchdog_kills=0 chaos=- outcome=completed drain_ns=-1 p50_ns=32128 p99_ns=36896");
     ("supervised-mc#4",
      "mc: total=3000 ok=3000 5xx=0 4xx=0 killed=0 drained=0 rejected=0 lost=0 silent=0 conns_aborted=0 restarts=0 escalations=0 watchdog_kills=0 chaos=- outcome=completed drain_ns=-1 p50_ns=31888 p99_ns=36896");
-    ("supervised-mc#5",
-     "mc: total=3000 ok=3000 5xx=0 4xx=0 killed=0 drained=0 rejected=0 lost=0 silent=0 conns_aborted=0 restarts=0 escalations=0 watchdog_kills=0 chaos=- outcome=completed drain_ns=-1 p50_ns=32112 p99_ns=36896");
-    ("supervised-mc#6",
-     "mc: total=3000 ok=3000 5xx=0 4xx=0 killed=0 drained=0 rejected=0 lost=0 silent=0 conns_aborted=0 restarts=0 escalations=0 watchdog_kills=0 chaos=- outcome=completed drain_ns=-1 p50_ns=31920 p99_ns=36896");
-    ("supervised-mc#7",
-     "mc: total=3000 ok=3000 5xx=0 4xx=0 killed=0 drained=0 rejected=0 lost=0 silent=0 conns_aborted=0 restarts=0 escalations=0 watchdog_kills=0 chaos=- outcome=completed drain_ns=-1 p50_ns=32208 p99_ns=36896");
-    ("supervised-mc#8",
-     "mc: total=3000 ok=3000 5xx=0 4xx=0 killed=0 drained=0 rejected=0 lost=0 silent=0 conns_aborted=0 restarts=0 escalations=0 watchdog_kills=0 chaos=- outcome=completed drain_ns=-1 p50_ns=32016 p99_ns=36896");
     ("plain-lwt-15000#1",
      "lwt offered=15000 achieved=0x1.d21ab6ecaa903p+13 goodput=0x1.d21ab6ecaa903p+13 total=2982 completed=2982 errors=0 timeouts=0 retries=0 shed=0 malformed=0 server_errors=0 injected=0 gc=1 mean=0x1.af15345e1701ep+15 p50=42880 p90=95104 p99=177408 p999=470528 max=510382");
     ("plain-lwt-15000#2",
@@ -146,14 +106,6 @@ let websim : (string * string) list =
      "lwt offered=15000 achieved=0x1.d58c714d6aaf6p+13 goodput=0x1.d58c714d6aaf6p+13 total=3004 completed=3004 errors=0 timeouts=0 retries=0 shed=0 malformed=0 server_errors=0 injected=0 gc=1 mean=0x1.a7434aa707d72p+15 p50=41792 p90=93504 p99=170112 p999=383232 max=512848");
     ("plain-lwt-15000#4",
      "lwt offered=15000 achieved=0x1.e0518abcb84cap+13 goodput=0x1.e0518abcb84cap+13 total=3073 completed=3073 errors=0 timeouts=0 retries=0 shed=0 malformed=0 server_errors=0 injected=0 gc=1 mean=0x1.c5ff656237d0bp+15 p50=44800 p90=101696 p99=193280 p999=497664 max=522696");
-    ("plain-lwt-15000#5",
-     "lwt offered=15000 achieved=0x1.d37383dcd12a8p+13 goodput=0x1.d37383dcd12a8p+13 total=2992 completed=2992 errors=0 timeouts=0 retries=0 shed=0 malformed=0 server_errors=0 injected=0 gc=1 mean=0x1.b23b7f50c5224p+15 p50=42464 p90=95040 p99=196480 p999=381952 max=540562");
-    ("plain-lwt-15000#6",
-     "lwt offered=15000 achieved=0x1.cdef0b5e3da08p+13 goodput=0x1.cdef0b5e3da08p+13 total=2956 completed=2956 errors=0 timeouts=0 retries=0 shed=0 malformed=0 server_errors=0 injected=0 gc=1 mean=0x1.ae8dbf9125c25p+15 p50=42208 p90=92224 p99=187264 p999=403200 max=518330");
-    ("plain-lwt-15000#7",
-     "lwt offered=15000 achieved=0x1.cab27c8f30fcap+13 goodput=0x1.cab27c8f30fcap+13 total=2936 completed=2936 errors=0 timeouts=0 retries=0 shed=0 malformed=0 server_errors=0 injected=0 gc=1 mean=0x1.b84a2b3f7a122p+15 p50=43104 p90=97792 p99=201984 p999=394240 max=485480");
-    ("plain-lwt-15000#8",
-     "lwt offered=15000 achieved=0x1.c91f2575a6ba4p+13 goodput=0x1.c91f2575a6ba4p+13 total=2926 completed=2926 errors=0 timeouts=0 retries=0 shed=0 malformed=0 server_errors=0 injected=0 gc=1 mean=0x1.9f1ad3bab4eebp+15 p50=40768 p90=89344 p99=156032 p999=483584 max=516278");
     ("plain-lwt-30000#1",
      "lwt offered=30000 achieved=0x1.bdb5450aee3a8p+14 goodput=0x1.bdb5450aee3a8p+14 total=2982 completed=2982 errors=0 timeouts=0 retries=0 shed=0 malformed=0 server_errors=0 injected=0 gc=1 mean=0x1.28fef5deb0d9p+21 p50=2217984 p90=4067328 p99=4419584 p999=4591616 max=4639466");
     ("plain-lwt-30000#2",
@@ -162,14 +114,6 @@ let websim : (string * string) list =
      "lwt offered=30000 achieved=0x1.c00f554225f6dp+14 goodput=0x1.c00f554225f6dp+14 total=3004 completed=3004 errors=0 timeouts=0 retries=0 shed=0 malformed=0 server_errors=0 injected=0 gc=1 mean=0x1.b41e23321bf3cp+20 p50=1639424 p90=3874816 p99=4833280 p999=4927488 max=5012565");
     ("plain-lwt-30000#4",
      "lwt offered=30000 achieved=0x1.bf0d29b24ae56p+14 goodput=0x1.bf0d29b24ae56p+14 total=3073 completed=3073 errors=0 timeouts=0 retries=0 shed=0 malformed=0 server_errors=0 injected=0 gc=1 mean=0x1.f54107ca047fap+21 p50=3698688 p90=7684096 p99=8024064 p999=8105984 max=8136170");
-    ("plain-lwt-30000#5",
-     "lwt offered=30000 achieved=0x1.be4d11393410ep+14 goodput=0x1.be4d11393410ep+14 total=2992 completed=2992 errors=0 timeouts=0 retries=0 shed=0 malformed=0 server_errors=0 injected=0 gc=1 mean=0x1.4e67811cbfa86p+21 p50=2738176 p90=4218880 p99=4816896 p999=4943872 max=4948682");
-    ("plain-lwt-30000#6",
-     "lwt offered=30000 achieved=0x1.b9735d856c4a6p+14 goodput=0x1.b9735d856c4a6p+14 total=2956 completed=2956 errors=0 timeouts=0 retries=0 shed=0 malformed=0 server_errors=0 injected=0 gc=1 mean=0x1.8bb1a5c2569a8p+20 p50=961536 p90=3815424 p99=4657152 p999=4845568 max=4876781");
-    ("plain-lwt-30000#7",
-     "lwt offered=30000 achieved=0x1.bcc8a39242655p+14 goodput=0x1.bcc8a39242655p+14 total=2936 completed=2936 errors=0 timeouts=0 retries=0 shed=0 malformed=0 server_errors=0 injected=0 gc=1 mean=0x1.872ec3668a1d5p+20 p50=1533952 p90=2512896 p99=3174400 p999=3272704 max=3316370");
-    ("plain-lwt-30000#8",
-     "lwt offered=30000 achieved=0x1.bb2564a20f479p+14 goodput=0x1.bb2564a20f479p+14 total=2926 completed=2926 errors=0 timeouts=0 retries=0 shed=0 malformed=0 server_errors=0 injected=0 gc=1 mean=0x1.3cd855910f92dp+20 p50=961024 p90=2797568 p99=3106816 p999=3209216 max=3245522");
     ("plain-lwt-45000#1",
      "lwt offered=45000 achieved=0x1.c0ae86c05834p+14 goodput=0x1.c0ae86c05834p+14 total=2949 completed=2949 errors=0 timeouts=0 retries=0 shed=0 malformed=0 server_errors=0 injected=0 gc=1 mean=0x1.1a4b41f6cc594p+24 p50=18317312 p90=33177600 p99=36208640 p999=36634624 max=36705227");
     ("plain-lwt-45000#2",
@@ -178,14 +122,6 @@ let websim : (string * string) list =
      "lwt offered=45000 achieved=0x1.be25dc80313bcp+14 goodput=0x1.be25dc80313bcp+14 total=2977 completed=2977 errors=0 timeouts=0 retries=0 shed=0 malformed=0 server_errors=0 injected=0 gc=1 mean=0x1.1be60c5c872e3p+24 p50=18415616 p90=34013184 p99=37847040 p999=38240256 max=38282413");
     ("plain-lwt-45000#4",
      "lwt offered=45000 achieved=0x1.bf8f94aef914dp+14 goodput=0x1.bf8f94aef914dp+14 total=3051 completed=3051 errors=0 timeouts=0 retries=0 shed=0 malformed=0 server_errors=0 injected=0 gc=1 mean=0x1.3776c8fbb882ep+24 p50=19972096 p90=37126144 p99=40239104 p999=40501248 max=40544054");
-    ("plain-lwt-45000#5",
-     "lwt offered=45000 achieved=0x1.be0ec0f97c885p+14 goodput=0x1.be0ec0f97c885p+14 total=2967 completed=2967 errors=0 timeouts=0 retries=0 shed=0 malformed=0 server_errors=0 injected=0 gc=1 mean=0x1.2083a02c2d364p+24 p50=18300928 p90=33619968 p99=37355520 p999=37879808 max=37932633");
-    ("plain-lwt-45000#6",
-     "lwt offered=45000 achieved=0x1.c0d0af4f80576p+14 goodput=0x1.c0d0af4f80576p+14 total=2928 completed=2928 errors=0 timeouts=0 retries=0 shed=0 malformed=0 server_errors=0 injected=0 gc=1 mean=0x1.04c0e7d33c273p+24 p50=16072704 p90=31965184 p99=35520512 p999=35913728 max=35952521");
-    ("plain-lwt-45000#7",
-     "lwt offered=45000 achieved=0x1.bddd7a65352d3p+14 goodput=0x1.bddd7a65352d3p+14 total=2906 completed=2906 errors=0 timeouts=0 retries=0 shed=0 malformed=0 server_errors=0 injected=0 gc=1 mean=0x1.10871756dc3bep+24 p50=17448960 p90=31817728 p99=35487744 p999=35815424 max=35866167");
-    ("plain-lwt-45000#8",
-     "lwt offered=45000 achieved=0x1.bf244023d168dp+14 goodput=0x1.bf244023d168dp+14 total=2892 completed=2892 errors=0 timeouts=0 retries=0 shed=0 malformed=0 server_errors=0 injected=0 gc=1 mean=0x1.047899582a7d6p+24 p50=16474112 p90=31735808 p99=34766848 p999=35028992 max=35096136");
     ("faults-lwt-30000#1",
      "lwt offered=30000 achieved=0x1.88200cbca07f4p+14 goodput=0x1.88200cbca07f4p+14 total=2982 completed=2952 errors=30 timeouts=0 retries=42 shed=0 malformed=30 server_errors=17 injected=127 gc=1 mean=0x1.3e50c3ce0c7cep+23 p50=9912320 p90=16613376 p99=17498112 p999=31129600 max=33063154");
     ("faults-lwt-30000#2",
@@ -194,14 +130,6 @@ let websim : (string * string) list =
      "lwt offered=30000 achieved=0x1.78f2cde87aedep+14 goodput=0x1.78f2cde87aedep+14 total=3004 completed=2978 errors=26 timeouts=0 retries=59 shed=4 malformed=26 server_errors=15 injected=141 gc=1 mean=0x1.2013a8edf296fp+23 p50=8519680 p90=20529152 p99=22200320 p999=31457280 max=37224350");
     ("faults-lwt-30000#4",
      "lwt offered=30000 achieved=0x1.7bd7de3e5d63dp+14 goodput=0x1.7bd7de3e5d63dp+14 total=3073 completed=3056 errors=17 timeouts=0 retries=583 shed=539 malformed=17 server_errors=12 injected=145 gc=1 mean=0x1.a581cab0ebe53p+23 p50=13189120 p90=25542656 p99=28803072 p999=40173568 max=58206649");
-    ("faults-lwt-30000#5",
-     "lwt offered=30000 achieved=0x1.761fb066c2d1bp+14 goodput=0x1.761fb066c2d1bp+14 total=2992 completed=2962 errors=30 timeouts=5 retries=923 shed=894 malformed=25 server_errors=6 injected=134 gc=1 mean=0x1.9e584e95b185fp+23 p50=12648448 p90=24248320 p99=33259520 p999=35782656 max=37963346");
-    ("faults-lwt-30000#6",
-     "lwt offered=30000 achieved=0x1.70040cbd5efe4p+14 goodput=0x1.70040cbd5efe4p+14 total=2956 completed=2930 errors=26 timeouts=0 retries=207 shed=178 malformed=26 server_errors=8 injected=121 gc=1 mean=0x1.4e8b159fe40a8p+23 p50=8359936 p90=21774336 p99=26001408 p999=27213824 max=37097035");
-    ("faults-lwt-30000#7",
-     "lwt offered=30000 achieved=0x1.7670a04a989dcp+14 goodput=0x1.7670a04a989dcp+14 total=2936 completed=2912 errors=24 timeouts=0 retries=46 shed=12 malformed=24 server_errors=14 injected=111 gc=1 mean=0x1.357f3bae6ae6bp+23 p50=8962048 p90=17776640 p99=20463616 p999=29851648 max=36235438");
-    ("faults-lwt-30000#8",
-     "lwt offered=30000 achieved=0x1.6a97f91280626p+14 goodput=0x1.6a97f91280626p+14 total=2926 completed=2912 errors=14 timeouts=0 retries=262 shed=215 malformed=14 server_errors=21 injected=139 gc=1 mean=0x1.71c1e76276276p+23 p50=10240000 p90=23789568 p99=27394048 p999=38993920 max=48493002");
     ("supervised-lwt#1",
      "lwt: total=3000 ok=3000 5xx=0 4xx=0 killed=0 drained=0 rejected=0 lost=0 silent=0 conns_aborted=0 restarts=0 escalations=0 watchdog_kills=0 chaos=- outcome=completed drain_ns=-1 p50_ns=32064 p99_ns=36928");
     ("supervised-lwt#2",
@@ -210,14 +138,6 @@ let websim : (string * string) list =
      "lwt: total=3000 ok=3000 5xx=0 4xx=0 killed=0 drained=0 rejected=0 lost=0 silent=0 conns_aborted=0 restarts=0 escalations=0 watchdog_kills=0 chaos=- outcome=completed drain_ns=-1 p50_ns=32128 p99_ns=36896");
     ("supervised-lwt#4",
      "lwt: total=3000 ok=3000 5xx=0 4xx=0 killed=0 drained=0 rejected=0 lost=0 silent=0 conns_aborted=0 restarts=0 escalations=0 watchdog_kills=0 chaos=- outcome=completed drain_ns=-1 p50_ns=31888 p99_ns=36896");
-    ("supervised-lwt#5",
-     "lwt: total=3000 ok=3000 5xx=0 4xx=0 killed=0 drained=0 rejected=0 lost=0 silent=0 conns_aborted=0 restarts=0 escalations=0 watchdog_kills=0 chaos=- outcome=completed drain_ns=-1 p50_ns=32112 p99_ns=36896");
-    ("supervised-lwt#6",
-     "lwt: total=3000 ok=3000 5xx=0 4xx=0 killed=0 drained=0 rejected=0 lost=0 silent=0 conns_aborted=0 restarts=0 escalations=0 watchdog_kills=0 chaos=- outcome=completed drain_ns=-1 p50_ns=31920 p99_ns=36896");
-    ("supervised-lwt#7",
-     "lwt: total=3000 ok=3000 5xx=0 4xx=0 killed=0 drained=0 rejected=0 lost=0 silent=0 conns_aborted=0 restarts=0 escalations=0 watchdog_kills=0 chaos=- outcome=completed drain_ns=-1 p50_ns=32208 p99_ns=36896");
-    ("supervised-lwt#8",
-     "lwt: total=3000 ok=3000 5xx=0 4xx=0 killed=0 drained=0 rejected=0 lost=0 silent=0 conns_aborted=0 restarts=0 escalations=0 watchdog_kills=0 chaos=- outcome=completed drain_ns=-1 p50_ns=32016 p99_ns=36896");
     ("plain-go-15000#1",
      "go offered=15000 achieved=0x1.d21b21e0548e8p+13 goodput=0x1.d21b21e0548e8p+13 total=2982 completed=2982 errors=0 timeouts=0 retries=0 shed=0 malformed=0 server_errors=0 injected=0 gc=0 mean=0x1.97c41c28853cap+15 p50=41184 p90=89920 p99=157056 p999=225024 max=238359");
     ("plain-go-15000#2",
@@ -226,14 +146,6 @@ let websim : (string * string) list =
      "go offered=15000 achieved=0x1.d58cdd0bb9b1cp+13 goodput=0x1.d58cdd0bb9b1cp+13 total=3004 completed=3004 errors=0 timeouts=0 retries=0 shed=0 malformed=0 server_errors=0 injected=0 gc=0 mean=0x1.93306fcee9d7cp+15 p50=39968 p90=88896 p99=152448 p999=209920 max=245847");
     ("plain-go-15000#4",
      "go offered=15000 achieved=0x1.e051f8f2c6fc9p+13 goodput=0x1.e051f8f2c6fc9p+13 total=3073 completed=3073 errors=0 timeouts=0 retries=0 shed=0 malformed=0 server_errors=0 injected=0 gc=0 mean=0x1.aa9a85ca2f26cp+15 p50=43104 p90=96256 p99=174208 p999=222464 max=249104");
-    ("plain-go-15000#5",
-     "go offered=15000 achieved=0x1.d373ef12e7d5dp+13 goodput=0x1.d373ef12e7d5dp+13 total=2992 completed=2992 errors=0 timeouts=0 retries=0 shed=0 malformed=0 server_errors=0 injected=0 gc=0 mean=0x1.9d56cd58fbe4ap+15 p50=40896 p90=90048 p99=172416 p999=240512 max=251604");
-    ("plain-go-15000#6",
-     "go offered=15000 achieved=0x1.cdef7556a7f12p+13 goodput=0x1.cdef7556a7f12p+13 total=2956 completed=2956 errors=0 timeouts=0 retries=0 shed=0 malformed=0 server_errors=0 injected=0 gc=0 mean=0x1.98909b318986cp+15 p50=40640 p90=87872 p99=159488 p999=254464 max=266298");
-    ("plain-go-15000#7",
-     "go offered=15000 achieved=0x1.cab2e5c3010bbp+13 goodput=0x1.cab2e5c3010bbp+13 total=2936 completed=2936 errors=0 timeouts=0 retries=0 shed=0 malformed=0 server_errors=0 injected=0 gc=0 mean=0x1.a2f206f9b8d9ap+15 p50=41632 p90=92160 p99=184832 p999=261760 max=318230");
-    ("plain-go-15000#8",
-     "go offered=15000 achieved=0x1.c91f8e4c2e5f5p+13 goodput=0x1.c91f8e4c2e5f5p+13 total=2926 completed=2926 errors=0 timeouts=0 retries=0 shed=0 malformed=0 server_errors=0 injected=0 gc=0 mean=0x1.88703d980f66p+15 p50=39360 p90=84992 p99=139648 p999=208896 max=227200");
     ("plain-go-30000#1",
      "go offered=30000 achieved=0x1.c878448de0ddep+14 goodput=0x1.c878448de0ddep+14 total=2982 completed=2982 errors=0 timeouts=0 retries=0 shed=0 malformed=0 server_errors=0 injected=0 gc=0 mean=0x1.4218d3b3c43fep+20 p50=1373184 p90=1867776 p99=2121728 p999=2213888 max=2238864");
     ("plain-go-30000#2",
@@ -242,14 +154,6 @@ let websim : (string * string) list =
      "go offered=30000 achieved=0x1.c8d631bf20d88p+14 goodput=0x1.c8d631bf20d88p+14 total=3004 completed=3004 errors=0 timeouts=0 retries=0 shed=0 malformed=0 server_errors=0 injected=0 gc=0 mean=0x1.df1d35dbdde98p+19 p50=915968 p90=2068480 p99=2842624 p999=2920448 max=3001357");
     ("plain-go-30000#4",
      "go offered=30000 achieved=0x1.ca2331525cb0ep+14 goodput=0x1.ca2331525cb0ep+14 total=3073 completed=3073 errors=0 timeouts=0 retries=0 shed=0 malformed=0 server_errors=0 injected=0 gc=0 mean=0x1.5fdd56ce197dep+21 p50=2639872 p90=5230592 p99=5623808 p999=5697536 max=5749251");
-    ("plain-go-30000#5",
-     "go offered=30000 achieved=0x1.c92876f467f0dp+14 goodput=0x1.c92876f467f0dp+14 total=2992 completed=2992 errors=0 timeouts=0 retries=0 shed=0 malformed=0 server_errors=0 injected=0 gc=0 mean=0x1.88024a9c106d8p+20 p50=1664000 p90=2445312 p99=2832384 p999=3096576 max=3107848");
-    ("plain-go-30000#6",
-     "go offered=30000 achieved=0x1.bfad5aae682e4p+14 goodput=0x1.bfad5aae682e4p+14 total=2956 completed=2956 errors=0 timeouts=0 retries=0 shed=0 malformed=0 server_errors=0 injected=0 gc=0 mean=0x1.2158eb3714704p+20 p50=794112 p90=2646016 p99=3231744 p999=3422208 max=3453081");
-    ("plain-go-30000#7",
-     "go offered=30000 achieved=0x1.c54b683b0cc96p+14 goodput=0x1.c54b683b0cc96p+14 total=2936 completed=2936 errors=0 timeouts=0 retries=0 shed=0 malformed=0 server_errors=0 injected=0 gc=0 mean=0x1.6044ba9810bdcp+19 p50=715264 p90=1212416 p99=1482752 p999=1546240 max=1565484");
-    ("plain-go-30000#8",
-     "go offered=30000 achieved=0x1.c141142e20f04p+14 goodput=0x1.c141142e20f04p+14 total=2926 completed=2926 errors=0 timeouts=0 retries=0 shed=0 malformed=0 server_errors=0 injected=0 gc=0 mean=0x1.83195ad0edfa1p+19 p50=641024 p90=1657856 p99=1878016 p999=1928192 max=1955124");
     ("plain-go-45000#1",
      "go offered=45000 achieved=0x1.cbf141e376554p+14 goodput=0x1.cbf141e376554p+14 total=2949 completed=2949 errors=0 timeouts=0 retries=0 shed=0 malformed=0 server_errors=0 injected=0 gc=0 mean=0x1.0872e5af9d628p+24 p50=17285120 p90=30867456 p99=33718272 p999=34144256 max=34190927");
     ("plain-go-45000#2",
@@ -258,14 +162,6 @@ let websim : (string * string) list =
      "go offered=45000 achieved=0x1.c942cddd4c8fbp+14 goodput=0x1.c942cddd4c8fbp+14 total=2977 completed=2977 errors=0 timeouts=0 retries=0 shed=0 malformed=0 server_errors=0 injected=0 gc=0 mean=0x1.09dbf4d22a7bp+24 p50=17383424 p90=31686656 p99=35356672 p999=35717120 max=35748513");
     ("plain-go-45000#4",
      "go offered=45000 achieved=0x1.caafc92020034p+14 goodput=0x1.caafc92020034p+14 total=3051 completed=3051 errors=0 timeouts=0 retries=0 shed=0 malformed=0 server_errors=0 injected=0 gc=0 mean=0x1.24f37aa144e34p+24 p50=18907136 p90=34766848 p99=37683200 p999=37912576 max=37960454");
-    ("plain-go-45000#5",
-     "go offered=45000 achieved=0x1.c92c469ce5672p+14 goodput=0x1.c92c469ce5672p+14 total=2967 completed=2967 errors=0 timeouts=0 retries=0 shed=0 malformed=0 server_errors=0 injected=0 gc=0 mean=0x1.0e8a676a36b4p+24 p50=17252352 p90=31309824 p99=34865152 p999=35356672 max=35405733");
-    ("plain-go-45000#6",
-     "go offered=45000 achieved=0x1.cc174a1e8173p+14 goodput=0x1.cc174a1e8173p+14 total=2928 completed=2928 errors=0 timeouts=0 retries=0 shed=0 malformed=0 server_errors=0 injected=0 gc=0 mean=0x1.e626970c9715p+23 p50=15048704 p90=29671424 p99=33062912 p999=33423360 max=33455021");
-    ("plain-go-45000#7",
-     "go offered=45000 achieved=0x1.c8ff49550bf5fp+14 goodput=0x1.c8ff49550bf5fp+14 total=2906 completed=2906 errors=0 timeouts=0 retries=0 shed=0 malformed=0 server_errors=0 injected=0 gc=0 mean=0x1.fe12bb27a461fp+23 p50=16449536 p90=29523968 p99=33046528 p999=33357824 max=33385467");
-    ("plain-go-45000#8",
-     "go offered=45000 achieved=0x1.ca5ad4ae4e213p+14 goodput=0x1.ca5ad4ae4e213p+14 total=2892 completed=2892 errors=0 timeouts=0 retries=0 shed=0 malformed=0 server_errors=0 injected=0 gc=0 mean=0x1.e61bd8b54a00bp+23 p50=15466496 p90=29458432 p99=32325632 p999=32587776 max=32623836");
     ("faults-go-30000#1",
      "go offered=30000 achieved=0x1.90835a277cc34p+14 goodput=0x1.90835a277cc34p+14 total=2982 completed=2952 errors=30 timeouts=0 retries=42 shed=0 malformed=30 server_errors=17 injected=127 gc=0 mean=0x1.1c0be622b0378p+23 p50=9084928 p90=14385152 p99=15089664 p999=27541504 max=27877125");
     ("faults-go-30000#2",
@@ -274,14 +170,6 @@ let websim : (string * string) list =
      "go offered=30000 achieved=0x1.84d03e0962a2fp+14 goodput=0x1.84d03e0962a2fp+14 total=3004 completed=2978 errors=26 timeouts=0 retries=55 shed=0 malformed=26 server_errors=15 injected=141 gc=0 mean=0x1.f805ef68b42e1p+22 p50=7487488 p90=18186240 p99=19660800 p999=29032448 max=34803759");
     ("faults-go-30000#4",
      "go offered=30000 achieved=0x1.854f5611a4675p+14 goodput=0x1.854f5611a4675p+14 total=3073 completed=3056 errors=17 timeouts=0 retries=543 shed=499 malformed=17 server_errors=12 injected=145 gc=0 mean=0x1.7d1aadcd116c9p+23 p50=12099584 p90=22478848 p99=26951680 p999=37191680 max=49658428");
-    ("faults-go-30000#5",
-     "go offered=30000 achieved=0x1.82fde28daf3b7p+14 goodput=0x1.82fde28daf3b7p+14 total=2992 completed=2965 errors=27 timeouts=0 retries=569 shed=531 malformed=27 server_errors=10 injected=134 gc=0 mean=0x1.706d29e857b8ep+23 p50=12599296 p90=18890752 p99=22790144 p999=45514752 max=53044785");
-    ("faults-go-30000#6",
-     "go offered=30000 achieved=0x1.779103b00ddc6p+14 goodput=0x1.779103b00ddc6p+14 total=2956 completed=2927 errors=29 timeouts=0 retries=143 shed=113 malformed=29 server_errors=9 injected=121 gc=0 mean=0x1.29d549d9b11c1p+23 p50=7307264 p90=19447808 p99=22953984 p999=24756224 max=32774078");
-    ("faults-go-30000#7",
-     "go offered=30000 achieved=0x1.7dc1ff9a01654p+14 goodput=0x1.7dc1ff9a01654p+14 total=2936 completed=2912 errors=24 timeouts=0 retries=34 shed=0 malformed=24 server_errors=14 injected=111 gc=0 mean=0x1.128315d89d89ep+23 p50=8040448 p90=15523840 p99=18055168 p999=28721152 max=30682965");
-    ("faults-go-30000#8",
-     "go offered=30000 achieved=0x1.6cefca3c6e55ep+14 goodput=0x1.6cefca3c6e55ep+14 total=2926 completed=2911 errors=15 timeouts=0 retries=207 shed=160 malformed=15 server_errors=21 injected=139 gc=0 mean=0x1.50f649066b773p+23 p50=9248768 p90=21659648 p99=26132480 p999=35389440 max=47677080");
     ("supervised-go#1",
      "go: total=3000 ok=3000 5xx=0 4xx=0 killed=0 drained=0 rejected=0 lost=0 silent=0 conns_aborted=0 restarts=0 escalations=0 watchdog_kills=0 chaos=- outcome=completed drain_ns=-1 p50_ns=32064 p99_ns=36928");
     ("supervised-go#2",
@@ -290,12 +178,4 @@ let websim : (string * string) list =
      "go: total=3000 ok=3000 5xx=0 4xx=0 killed=0 drained=0 rejected=0 lost=0 silent=0 conns_aborted=0 restarts=0 escalations=0 watchdog_kills=0 chaos=- outcome=completed drain_ns=-1 p50_ns=32128 p99_ns=36896");
     ("supervised-go#4",
      "go: total=3000 ok=3000 5xx=0 4xx=0 killed=0 drained=0 rejected=0 lost=0 silent=0 conns_aborted=0 restarts=0 escalations=0 watchdog_kills=0 chaos=- outcome=completed drain_ns=-1 p50_ns=31888 p99_ns=36896");
-    ("supervised-go#5",
-     "go: total=3000 ok=3000 5xx=0 4xx=0 killed=0 drained=0 rejected=0 lost=0 silent=0 conns_aborted=0 restarts=0 escalations=0 watchdog_kills=0 chaos=- outcome=completed drain_ns=-1 p50_ns=32112 p99_ns=36896");
-    ("supervised-go#6",
-     "go: total=3000 ok=3000 5xx=0 4xx=0 killed=0 drained=0 rejected=0 lost=0 silent=0 conns_aborted=0 restarts=0 escalations=0 watchdog_kills=0 chaos=- outcome=completed drain_ns=-1 p50_ns=31920 p99_ns=36896");
-    ("supervised-go#7",
-     "go: total=3000 ok=3000 5xx=0 4xx=0 killed=0 drained=0 rejected=0 lost=0 silent=0 conns_aborted=0 restarts=0 escalations=0 watchdog_kills=0 chaos=- outcome=completed drain_ns=-1 p50_ns=32208 p99_ns=36896");
-    ("supervised-go#8",
-     "go: total=3000 ok=3000 5xx=0 4xx=0 killed=0 drained=0 rejected=0 lost=0 silent=0 conns_aborted=0 restarts=0 escalations=0 watchdog_kills=0 chaos=- outcome=completed drain_ns=-1 p50_ns=32016 p99_ns=36896");
   ]

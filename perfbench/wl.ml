@@ -15,10 +15,10 @@ type job = {
   traced : Spans.t -> result;  (** the same work, with layer spans *)
 }
 
-(* The jobs of one run: job [i] for every [i >= 0].  Throughput is
-   taken per [cycle] consecutive jobs; where the workload repeats, jobs
-   [i] and [i + cycle] are the same job.  Counts are reported summed
-   over the first [counted] jobs. *)
+(* The jobs of one run: job [i] for every [i >= 0].  Jobs [i] and
+   [i + cycle] are the same job, a run ends at the end of a cycle, and
+   throughput is taken per cycle.  Counts are reported summed over the
+   first [counted] jobs. *)
 type plan = { cycle : int; counted : int; job : int -> job }
 
 let repeat jobs =
@@ -41,7 +41,7 @@ let ok ?(counts = []) work = { work; counts; error = None }
 let fail ?(counts = []) work fmt =
   Printf.ksprintf (fun e -> { work; counts; error = Some e }) fmt
 
-(* A deterministic shuffle and choice from the workload seed. *)
+(* A deterministic shuffle from the workload seed. *)
 let shuffle st a =
   for i = Array.length a - 1 downto 1 do
     let j = Random.State.int st (i + 1) in
@@ -50,7 +50,5 @@ let shuffle st a =
     a.(j) <- x
   done;
   a
-
-let pick st l = List.nth l (Random.State.int st (List.length l))
 
 let ratio a b = if b = 0. then 0. else a /. b
