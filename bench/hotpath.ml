@@ -22,7 +22,14 @@ module F = Retrofit_fiber
 module D = Retrofit_dwarf
 module B = Retrofit_harness.Bench
 
-let smoke = Array.exists (fun a -> a = "--smoke") Sys.argv
+let smoke =
+  let smoke = ref false in
+  Arg.parse
+    [ ("--smoke", Arg.Set smoke, " tiny sizes, single measured run") ]
+    (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
+    "hotpath [--smoke]";
+  !smoke
+
 let warmups = if smoke then 0 else 2
 let runs = if smoke then 1 else 5
 

@@ -73,12 +73,18 @@ let run_bechamel () =
     (bechamel_tests ())
 
 let () =
-  let args = Array.to_list Sys.argv |> List.tl in
-  let quick = List.mem "--quick" args in
-  let listing = List.mem "--list" args in
-  let bechamel = List.mem "--bechamel" args in
-  let ids = List.filter (fun a -> not (String.length a > 1 && a.[0] = '-')) args in
-  if listing then
+  let quick = ref false and listing = ref false and bechamel = ref false in
+  let ids = ref [] in
+  Arg.parse
+    [
+      ("--quick", Arg.Set quick, " run at test size");
+      ("--list", Arg.Set listing, " list experiment ids");
+      ("--bechamel", Arg.Set bechamel, " additionally run the Bechamel micro suite");
+    ]
+    (fun id -> ids := id :: !ids)
+    "main [--quick] [--list] [--bechamel] [ID...]";
+  let quick = !quick and ids = List.rev !ids in
+  if !listing then
     List.iter
       (fun (e : E.Registry.t) -> Printf.printf "%-11s %s (%s)\n" e.id e.title e.paper_ref)
       E.Registry.all
@@ -97,5 +103,5 @@ let () =
                   (String.concat ", " (E.Registry.ids ()));
                 exit 1)
           ids);
-    if bechamel then run_bechamel ()
+    if !bechamel then run_bechamel ()
   end

@@ -23,7 +23,13 @@ module B = Retrofit_harness.Bench
 module Counter = Retrofit_util.Counter
 module Trace = Retrofit_trace.Trace
 
-let smoke = Array.exists (fun a -> a = "--smoke") Sys.argv
+let smoke =
+  let smoke = ref false in
+  Arg.parse
+    [ ("--smoke", Arg.Set smoke, " tiny sizes, single measured run") ]
+    (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
+    "trace_overhead [--smoke]";
+  !smoke
 
 let warmups = if smoke then 0 else 2
 

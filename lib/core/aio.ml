@@ -10,290 +10,118 @@ let input_line ic = Effect.perform (In_line ic)
 
 let output_string oc s = Effect.perform (Out_str (oc, s))
 
-(* A parked read: the channel, the continuation expecting the line, the
-   owning fiber's control cell, and a liveness flag cleared when the
-   read is cancelled (so the ready-scan skips it). *)
-type pending =
-  | Pending : {
-      ic : Chan.ic;
-      k : (string, unit) Effect.Deep.continuation;
-      ctl : Sched.Ctl.t option;
-      live : bool ref;
-    }
-      -> pending
+(* A parked read: the channel and the resumer of the [Sched.suspend]
+   that holds the reading thread. *)
+type pending = { ic : Chan.ic; resume : (string, exn) result Sched.resumer }
 
 type mode = Sync | Async
 
 type timeout_status = [ `Running | `Done | `Cancelled ]
 
-let run_mode mode ?chaos loop main =
-  let runq : (unit -> unit) Queue.t = Queue.create () in
-  let current : Sched.Ctl.t option ref = ref None in
-  let raw_enqueue thunk =
-    Queue.push thunk runq;
-    if Metrics.on () then Metrics.inc "sched_runq_pushes_total";
-    if Trace.on () then
-      Trace.emit ~ts:(Evloop.now loop) (Tev.Runq_depth { depth = Queue.length runq })
-  in
-  let raw_pop () =
-    match Queue.pop runq with t -> Some t | exception Queue.Empty -> None
-  in
-  (* Dequeue the element [n] positions in, preserving relative order of
-     the ones skipped over (chaos reorder). *)
-  let pop_nth n =
-    let rotate i =
-      for _ = 1 to i do
-        Queue.push (Queue.pop runq) runq
-      done
-    in
-    let len = Queue.length runq in
-    let n = n mod len in
-    rotate n;
-    let target = Queue.pop runq in
-    rotate (len - 1 - n);
-    target
-  in
-  let chst = Option.map Sched.Chaos.make chaos in
-  let run_next_cell = ref (fun () -> ()) in
-  let enqueue, pop =
-    match chst with
-    | None -> (raw_enqueue, raw_pop)
-    | Some st ->
-        Sched.Chaos.wrap st ~push:raw_enqueue ~pop:raw_pop
-          ~depth:(fun () -> Queue.length runq)
-          ~pop_nth ~run_next:run_next_cell
-  in
-  let kill_draw ctl = Sched.Chaos.kill_draw chst ctl in
-  (* Runnable-wait instrumentation above the chaos wrap, mirroring
-     Sched.run: record how long each thunk sat runnable (on this loop's
-     virtual clock) and the reason it became runnable. *)
-  let enqueue_r reason thunk =
-    if Trace.on () || Metrics.on () then begin
-      let t0 = Evloop.now loop in
-      enqueue (fun () ->
-          let w = Evloop.now loop - t0 in
-          let w = if w < 0 then 0 else w in
-          if Metrics.on () then
-            Metrics.observe ~max_value:1_000_000_000
-              "scheduler_runnable_wait_ns" w;
-          if Trace.on () then
-            Trace.emit ~ts:(Evloop.now loop) (Tev.Wakeup { reason; wait_ns = w });
-          thunk ())
-    end
-    else enqueue thunk
-  in
-  let pending_reads : pending list ref = ref [] in
+(* The outcome of a read that would not block; [None] if it would. *)
+let poll ic =
+  match Chan.read_line_nonblock ic with
+  | `Line line -> Some (Ok line)
+  | `Eof -> Some (Error End_of_file)
+  | `Not_ready -> None
+  | exception (Sys_error _ as e) -> Some (Error e)
+
+let wake = function
+  | Ok (Ok _) -> "io-line"
+  | Ok (Error End_of_file) -> "io-eof"
+  | Ok (Error _) -> "io-error"
+  | Error _ -> "cancel"
+
+let deliver k = function
+  | Ok v -> Effect.Deep.continue k v
+  | Error e -> Effect.Deep.discontinue k e
+
+(* The runner is [Sched.run] around an I/O handler: the handler serves
+   [In_line]/[Out_str] for one thread, re-wraps the children that thread
+   forks, and lets every other scheduler effect through.  Threads,
+   cancellation and chaos all come from the scheduler; the mode decides
+   only what a read that is not ready does. *)
+let run mode ?chaos loop main =
+  let pending : pending list ref = ref [] in
   (* The event-loop clock stamps this loop's I/O depth track. *)
   let observe_pending () =
     if Trace.on () then
       Trace.emit ~ts:(Evloop.now loop)
-        (Tev.Io_pending { depth = List.length !pending_reads })
+        (Tev.Io_pending { depth = List.length !pending })
   in
-  let resume_read (Pending p) =
-    (match p.ctl with Some c -> Sched.Ctl.clear_parked c | None -> ());
-    let restore () = current := p.ctl in
-    match Chan.read_line_nonblock p.ic with
-    | `Line line ->
-        enqueue_r "io-line" (fun () ->
-            restore ();
-            Effect.Deep.continue p.k line)
-    | `Eof ->
-        enqueue_r "io-eof" (fun () ->
-            restore ();
-            Effect.Deep.discontinue p.k End_of_file)
-    | `Not_ready -> assert false
-    | exception (Sys_error _ as e) ->
-        enqueue_r "io-error" (fun () ->
-            restore ();
-            Effect.Deep.discontinue p.k e)
+  (* Runs in the scheduler's handler: no effects here.  The cleanup
+     purges a cancelled (or killed) read eagerly, so the pending depth
+     never counts dead waiters. *)
+  let park ctl ic resume =
+    let p = { ic; resume } in
+    (match ctl with
+    | Some c ->
+        Sched.Ctl.set_cleanup c (fun () ->
+            pending := List.filter (fun q -> q != p) !pending;
+            observe_pending ())
+    | None -> ());
+    pending := p :: !pending;
+    if Metrics.on () then Metrics.inc "aio_parked_reads_total";
+    observe_pending ()
   in
-  let rec run_next () =
-    match pop () with
-    | Some thunk -> thunk ()
-    | None -> (
-        pending_reads := List.filter (fun (Pending p) -> !(p.live)) !pending_reads;
-        match !pending_reads with
-        | [] -> ()
-        | todo ->
-            (* Every thread is parked on I/O: advance virtual time until
-               at least one read completes (the do_reads of §3.1) or a
-               timer callback schedules work (e.g. a timeout firing a
-               cancel). *)
-            let progressed =
-              Evloop.advance_until loop (fun () ->
-                  (not (Queue.is_empty runq))
-                  || List.exists (fun (Pending p) -> !(p.live) && Chan.readable p.ic) todo)
-            in
-            if Queue.is_empty runq && not progressed then
-              failwith "Aio: all threads blocked and no input will ever arrive";
-            let ready, still =
-              List.partition (fun (Pending p) -> !(p.live) && Chan.readable p.ic) todo
-            in
-            pending_reads := List.filter (fun (Pending p) -> !(p.live)) still;
-            observe_pending ();
-            List.iter resume_read ready;
-            run_next ())
+  let read ic =
+    match mode with
+    | Sync -> ( try Ok (Chan.read_line_blocking ic) with e -> Error e)
+    | Async -> (
+        match poll ic with
+        | Some r -> r
+        | None -> (
+            let ctl = Sched.current_ctl () in
+            (* a cancel or kill discontinues this handler's suspension;
+               pass it on to the reading thread *)
+            try Sched.suspend ~wake (park ctl ic) with e -> Error e))
   in
-  run_next_cell := run_next;
-  let rec spawn : Sched.Ctl.t option -> (unit -> unit) -> unit =
-   fun ctl f ->
-    current := ctl;
-    Effect.Deep.match_with f ()
+  let rec io f () =
+    Effect.Deep.try_with f ()
       {
-        Effect.Deep.retc =
-          (fun () ->
-            (match ctl with Some c -> Sched.Ctl.finish c | None -> ());
-            run_next ());
-        exnc =
-          (fun e ->
-            match (ctl, e) with
-            | Some c, Sched.Cancelled when Sched.Ctl.cancelled c ->
-                Sched.Ctl.finish c;
-                run_next ()
-            | Some c, Sched.Killed ->
-                Sched.Ctl.finish c;
-                Sched.Ctl.run_cleanup c;
-                run_next ()
-            | _ -> raise e);
         effc =
           (fun (type c) (eff : c Effect.t) ->
             match eff with
-            | Sched.Yield ->
-                Some
-                  (fun (k : (c, unit) Effect.Deep.continuation) ->
-                    let ctl = !current in
-                    if kill_draw ctl then
-                      enqueue_r "kill" (fun () ->
-                          current := ctl;
-                          Effect.Deep.discontinue k Sched.Killed)
-                    else
-                      enqueue_r "yield" (fun () ->
-                          current := ctl;
-                          Effect.Deep.continue k ());
-                    run_next ())
-            | Sched.Fork f' ->
-                Some
-                  (fun (k : (c, unit) Effect.Deep.continuation) ->
-                    let ctl = !current in
-                    enqueue_r "fork" (fun () ->
-                        current := ctl;
-                        Effect.Deep.continue k ());
-                    spawn None f')
-            | Sched.Fork_cancellable f' ->
-                Some
-                  (fun (k : (c, unit) Effect.Deep.continuation) ->
-                    let parent = !current in
-                    let child = Sched.Ctl.create () in
-                    enqueue_r "fork" (fun () ->
-                        current := parent;
-                        Effect.Deep.continue k (fun () -> Sched.Ctl.cancel child));
-                    spawn (Some child) f')
-            | Sched.Suspend g ->
-                Some
-                  (fun (k : (c, unit) Effect.Deep.continuation) ->
-                    let ctl = !current in
-                    (match ctl with
-                    | Some c when Sched.Ctl.cancelled c ->
-                        enqueue_r "cancel" (fun () ->
-                            current := ctl;
-                            Effect.Deep.discontinue k Sched.Cancelled)
-                    | _ ->
-                        if kill_draw ctl then
-                          (* killed instead of parked: the waiter is
-                             never handed to [g], so no queue ever holds
-                             a dead resumer for it *)
-                          enqueue_r "kill" (fun () ->
-                              current := ctl;
-                              Effect.Deep.discontinue k Sched.Killed)
-                        else
-                          let resumer =
-                            Sched.Ctl.arm ?ctl ~enqueue:(enqueue_r "wakeup")
-                              ~continue:(fun v ->
-                                current := ctl;
-                                Effect.Deep.continue k v)
-                              ~discontinue:(fun e ->
-                                current := ctl;
-                                Effect.Deep.discontinue k e)
-                          in
-                          g resumer);
-                    run_next ())
             | In_line ic ->
-                Some
-                  (fun (k : (c, unit) Effect.Deep.continuation) ->
-                    match mode with
-                    | Sync -> (
-                        match Chan.read_line_blocking ic with
-                        | line -> Effect.Deep.continue k line
-                        | exception e -> Effect.Deep.discontinue k e)
-                    | Async -> (
-                        match Chan.read_line_nonblock ic with
-                        | `Line line -> Effect.Deep.continue k line
-                        | `Eof -> Effect.Deep.discontinue k End_of_file
-                        | `Not_ready ->
-                            let ctl = !current in
-                            (match ctl with
-                            | Some c when Sched.Ctl.cancelled c ->
-                                enqueue_r "cancel" (fun () ->
-                                    current := ctl;
-                                    Effect.Deep.discontinue k Sched.Cancelled)
-                            | _ ->
-                                if kill_draw ctl then
-                                  enqueue_r "kill" (fun () ->
-                                      current := ctl;
-                                      Effect.Deep.discontinue k Sched.Killed)
-                                else begin
-                                  let live = ref true in
-                                  (match ctl with
-                                  | Some c ->
-                                      Sched.Ctl.set_parked c (fun e ->
-                                          live := false;
-                                          (* eager purge: drop the dead
-                                             read now, so the pending
-                                             depth metric never counts
-                                             cancelled waiters *)
-                                          pending_reads :=
-                                            List.filter
-                                              (fun (Pending p) -> !(p.live))
-                                              !pending_reads;
-                                          observe_pending ();
-                                          enqueue_r "cancel" (fun () ->
-                                              current := ctl;
-                                              Effect.Deep.discontinue k e))
-                                  | None -> ());
-                                  pending_reads :=
-                                    Pending { ic; k; ctl; live } :: !pending_reads;
-                                  if Metrics.on () then
-                                    Metrics.inc "aio_parked_reads_total";
-                                  observe_pending ()
-                                end);
-                            run_next ()
-                        | exception (Sys_error _ as e) ->
-                            Effect.Deep.discontinue k e))
+                Some (fun (k : (c, _) Effect.Deep.continuation) -> deliver k (read ic))
             | Out_str (oc, s) ->
                 Some
-                  (fun (k : (c, unit) Effect.Deep.continuation) ->
-                    match Chan.write_string oc s with
-                    | () -> Effect.Deep.continue k ()
-                    | exception e -> Effect.Deep.discontinue k e)
-            | Sched.Set_killable b ->
+                  (fun (k : (c, _) Effect.Deep.continuation) ->
+                    deliver k (try Ok (Chan.write_string oc s) with e -> Error e))
+            | Sched.Fork f' ->
                 Some
-                  (fun (k : (c, unit) Effect.Deep.continuation) ->
-                    (match !current with
-                    | Some c -> Sched.Ctl.set_killable_cell c b
-                    | None -> ());
+                  (fun (k : (c, _) Effect.Deep.continuation) ->
+                    Sched.fork (io f');
                     Effect.Deep.continue k ())
-            | Sched.Current_ctl ->
+            | Sched.Fork_cancellable f' ->
                 Some
-                  (fun (k : (c, unit) Effect.Deep.continuation) ->
-                    Effect.Deep.continue k !current)
+                  (fun (k : (c, _) Effect.Deep.continuation) ->
+                    Effect.Deep.continue k (Sched.fork_cancellable (io f')))
             | _ -> None);
       }
   in
-  spawn None main
+  (* Every thread is parked: step virtual time until a read completes
+     (the do_reads of §3.1) or a timer callback schedules work (e.g. a
+     timeout firing a cancel); the scheduler calls back while its queue
+     stays empty. *)
+  let idle () =
+    let readable p = Chan.readable p.ic in
+    match !pending with
+    | [] -> false
+    | waiting ->
+        if not (List.exists readable waiting || Evloop.advance_once loop) then
+          failwith "Aio: all threads blocked and no input will ever arrive";
+        let ready, still = List.partition readable !pending in
+        pending := still;
+        observe_pending ();
+        List.iter (fun p -> p.resume (Option.get (poll p.ic))) ready;
+        true
+  in
+  Sched.run ?chaos ~clock:(fun () -> Evloop.now loop) ~idle (io main)
 
-let run_sync ?chaos loop main = run_mode Sync ?chaos loop main
+let run_sync ?chaos loop main = run Sync ?chaos loop main
 
-let run_async ?chaos loop main = run_mode Async ?chaos loop main
+let run_async ?chaos loop main = run Async ?chaos loop main
 
 let timeout loop ~delay f =
   let state = ref (`Running : timeout_status) in

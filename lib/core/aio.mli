@@ -2,13 +2,17 @@
 
     Client code performs [In_line]/[Out_str] through {!input_line} and
     {!output_string} — the same signatures as the standard library — and
-    composes with {!Sched.fork} and {!Sched.yield}.  The choice between
-    blocking and asynchronous I/O is made {e solely} by the runner:
+    composes with {!Sched.fork} and {!Sched.yield}.  Both runners are
+    {!Sched.run} around one I/O handler that wraps every thread (and
+    every child it forks); threads, MVars, cancellation and chaos come
+    from the scheduler.  The choice between blocking and asynchronous
+    I/O is made {e solely} by that handler:
 
     - {!run_sync} services each read by blocking (advancing virtual
       time) while every other thread waits;
-    - {!run_async} parks readers, lets other threads run, and only
-      advances time when all threads are blocked — the paper's
+    - {!run_async} parks a read that is not ready with {!Sched.suspend}
+      in a pending set, lets other threads run, and only advances time
+      when the run queue is empty — the paper's
       [pending_reads]/[do_reads] structure.
 
     Requirement R4 (forwards compatibility) is thus observable: the
@@ -20,11 +24,14 @@
     so defensive resource-cleanup code written for blocking I/O (§3.2)
     keeps working.  Cancellation uses the same mechanism: a fiber
     spawned with {!Sched.fork_cancellable} under {!run_async} can be
-    cancelled while parked — in a [Suspend] {e or} in a pending read —
-    and is discontinued with {!Sched.Cancelled}, running its cleanup
-    handlers; its resumer (or read completion) becomes a no-op.
-    A resumer invoked twice raises {!Sched.One_shot}, as under
-    {!Sched.run}. *)
+    cancelled while parked on a read, which is an ordinary [Suspend];
+    it is discontinued with {!Sched.Cancelled}, running its cleanup
+    handlers, and leaves the pending set at once.
+
+    Observability: a parked read wakes with reason [io-line], [io-eof],
+    [io-error] or [cancel]; the pending-set depth is the [Io_pending]
+    counter track, stamped on the event-loop clock; each park counts in
+    [aio_parked_reads_total]. *)
 
 val input_line : Chan.ic -> string
 (** Performs [In_line]; must run under one of the runners. *)
@@ -33,14 +40,14 @@ val output_string : Chan.oc -> string -> unit
 (** Performs [Out_str]. *)
 
 val run_sync : ?chaos:Sched.Chaos.t -> Evloop.t -> (unit -> unit) -> unit
-(** Also handles {!Sched.Fork}, {!Sched.Yield}, {!Sched.Suspend} and
-    {!Sched.Fork_cancellable}, so threads, MVars and cancellation work
-    under it.  Reads block inline, so a sync read cannot be cancelled
-    mid-wait.  [chaos] enables the same seeded adversarial policy as
-    {!Sched.run}: kills at suspension points (including parked reads),
-    delayed resumes, reorders, spurious wakeups. *)
+(** Reads block inline, so a sync read cannot be cancelled mid-wait.
+    [chaos] is passed to {!Sched.run}: kills at suspension points
+    (including parked reads), delayed resumes, reorders, spurious
+    wakeups.  The scheduler's clock is the loop's {!Evloop.now}. *)
 
 val run_async : ?chaos:Sched.Chaos.t -> Evloop.t -> (unit -> unit) -> unit
+(** @raise Failure when every thread waits on a read and the event loop
+    has nothing left to deliver. *)
 
 type timeout_status = [ `Running | `Done | `Cancelled ]
 

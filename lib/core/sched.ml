@@ -16,8 +16,9 @@ exception One_shot
 (* Cancellation protocol (§2.3): a cancellable fiber owns a control cell
    shared between its runner and the cancel handle.  While the fiber is
    parked the cell holds a discontinue hook; cancel fires it exactly
-   once, turning the suspension's resumer into a no-op.  The same cell
-   protocol is reused by Aio for reads parked in its pending set. *)
+   once, turning the suspension's resumer into a no-op.  Every blocking
+   point parks through [Suspend] — Mvar takes, Aio's pending reads,
+   supervisor waits — so this is the only place the protocol lives. *)
 module Ctl = struct
   type t = {
     mutable requested : bool;
@@ -48,8 +49,6 @@ module Ctl = struct
 
   let clear_parked t = t.parked <- None
 
-  let set_killable_cell t b = t.killable <- b
-
   let set_cleanup t f = t.cleanup <- Some f
 
   let clear_cleanup t = t.cleanup <- None
@@ -74,14 +73,15 @@ module Ctl = struct
 
   (* Wire one suspension point.  The returned resumer enqueues a resume
      on first use, raises [One_shot] on a second use, and becomes a
-     no-op once the suspension has been cancelled. *)
+     no-op once the suspension has been cancelled.  [enqueue] sees the
+     outcome it is scheduling, so the runner can name the wakeup. *)
   let arm ?ctl ~enqueue ~continue ~discontinue =
     let state = ref `Waiting in
     (match ctl with
     | Some c ->
         set_parked c (fun e ->
             state := `Cancelled;
-            enqueue (fun () -> discontinue e))
+            enqueue (Error e) (fun () -> discontinue e))
     | None -> ());
     fun v ->
       match !state with
@@ -92,7 +92,7 @@ module Ctl = struct
               clear_parked c;
               clear_cleanup c
           | None -> ());
-          enqueue (fun () -> continue v)
+          enqueue (Ok v) (fun () -> continue v)
       | `Resumed -> raise One_shot
       | `Cancelled -> ()
 end
@@ -233,7 +233,7 @@ let chaos_stats () = Option.map Chaos.snapshot !Chaos.latest
 type _ Effect.t +=
   | Fork : (unit -> unit) -> unit Effect.t
   | Yield : unit Effect.t
-  | Suspend : ('a resumer -> unit) -> 'a Effect.t
+  | Suspend : (('a, exn) result -> string) * ('a resumer -> unit) -> 'a Effect.t
   | Fork_cancellable : (unit -> unit) -> (unit -> unit) Effect.t
   | Set_killable : bool -> unit Effect.t
   | Current_ctl : Ctl.t option Effect.t
@@ -244,7 +244,9 @@ let fork_cancellable f = Effect.perform (Fork_cancellable f)
 
 let yield () = Effect.perform Yield
 
-let suspend f = Effect.perform (Suspend f)
+let wakeup _ = "wakeup"
+
+let suspend ?(wake = wakeup) f = Effect.perform (Suspend (wake, f))
 
 let set_killable b =
   try Effect.perform (Set_killable b) with Effect.Unhandled _ -> ()
@@ -427,7 +429,7 @@ let run ?(policy = Fifo) ?chaos ?(clock = Retrofit_util.Vclock.now) ?idle main =
                         current := parent;
                         Effect.Deep.continue k (fun () -> Ctl.cancel child));
                     spawn (Some child) f')
-            | Suspend f ->
+            | Suspend (wake, f) ->
                 Some
                   (fun (k : (c, unit) Effect.Deep.continuation) ->
                     let ctl = !current in
@@ -448,7 +450,8 @@ let run ?(policy = Fifo) ?chaos ?(clock = Retrofit_util.Vclock.now) ?idle main =
                               Effect.Deep.discontinue k Killed)
                         else
                           let resumer =
-                            Ctl.arm ?ctl ~enqueue:(push_r "wakeup")
+                            Ctl.arm ?ctl
+                              ~enqueue:(fun r -> push_r (wake r))
                               ~continue:(fun v ->
                                 current := ctl;
                                 Effect.Deep.continue k v)

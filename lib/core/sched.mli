@@ -42,27 +42,9 @@ exception One_shot
     code. *)
 
 (** The cancellation control cell shared between a fiber's runner and
-    its cancel handle.  Exposed so that other runners (notably {!Aio})
-    can implement the same protocol for their own blocking points. *)
+    its cancel handle; {!current_ctl} returns the caller's. *)
 module Ctl : sig
   type t
-
-  val create : unit -> t
-
-  val finish : t -> unit
-  (** Mark the fiber completed; cancel becomes a no-op. *)
-
-  val cancelled : t -> bool
-  (** Has cancel been requested? *)
-
-  val set_parked : t -> (exn -> unit) -> unit
-  (** Install the discontinue hook for the fiber's current suspension. *)
-
-  val set_killable_cell : t -> bool -> unit
-  (** Flip the chaos opt-in flag on the cell directly; runners use this
-      to serve the {!Set_killable} effect. *)
-
-  val clear_parked : t -> unit
 
   val set_cleanup : t -> (unit -> unit) -> unit
   (** Install a hook fired exactly once if the fiber is cancelled (or
@@ -70,29 +52,11 @@ module Ctl : sig
       use it to purge the dead waiter eagerly.  Cleared automatically
       when the suspension resumes normally. *)
 
-  val clear_cleanup : t -> unit
-
-  val run_cleanup : t -> unit
-  (** Fire and clear the cleanup hook, if any.  Runners call this when a
-      fiber dies abnormally ({!Killed}) without going through
-      {!cancel}. *)
-
   val cancel : t -> unit
-  (** Request cancellation: fires the cleanup hook, then the parked
-      hook with {!Cancelled} if the fiber is suspended, otherwise marks
-      it for discontinuation at its next suspension point.  One-shot; a
+  (** Request cancellation: fires the cleanup hook, then discontinues
+      the fiber with {!Cancelled} if it is suspended, otherwise marks it
+      for discontinuation at its next suspension point.  One-shot; a
       no-op after the fiber finishes or after a previous cancel. *)
-
-  val arm :
-    ?ctl:t ->
-    enqueue:((unit -> unit) -> unit) ->
-    continue:('a -> unit) ->
-    discontinue:(exn -> unit) ->
-    'a resumer
-  (** Wire one suspension point: returns the one-shot resumer
-      (first use enqueues [continue]; second use raises {!One_shot};
-      any use after cancellation is a no-op) and, when [ctl] is given,
-      installs the cancel hook that enqueues [discontinue]. *)
 end
 
 (** Seeded adversarial scheduling.  All draws come from one xoshiro
@@ -113,48 +77,21 @@ module Chaos : sig
   val default : seed:int -> t
 
   type stats = { kills : int; delays : int; reorders : int; spurious : int }
-
-  type state
-  (** Mutable per-run chaos state: the rng stream, the stash of delayed
-      resumes, and the injection counters. *)
-
-  val make : t -> state
-  (** Also registers the state as the latest for {!chaos_stats}. *)
-
-  val snapshot : state -> stats
-
-  val wrap :
-    state ->
-    push:((unit -> unit) -> unit) ->
-    pop:(unit -> (unit -> unit) option) ->
-    depth:(unit -> int) ->
-    pop_nth:(int -> unit -> unit) ->
-    run_next:(unit -> unit) ref ->
-    ((unit -> unit) -> unit) * (unit -> (unit -> unit) option)
-  (** [wrap st ~push ~pop ~depth ~pop_nth ~run_next] turns a runner's
-      raw queue operations into the chaos-perturbed (push, pop) pair:
-      pushes may be stashed (delayed resume) or doubled with a spurious
-      wakeup, pops may dequeue an adversarial position.  [run_next] must
-      be tied to the runner's drain loop before the first pop.  Used by
-      {!run} and by {!Aio}'s runners. *)
-
-  val kill_draw : state option -> Ctl.t option -> bool
-  (** Draw a kill decision for a fiber about to park: [true] only for a
-      live, killable, not-yet-cancelled cell under an active chaos
-      state.  Counts and emits the injection when it fires. *)
 end
 
 val chaos_stats : unit -> Chaos.stats option
 (** Injection counts of the most recent (or current) chaos-enabled
-    {!run} / {!Aio} run; [None] before any chaos run. *)
+    {!run}, including the {!Aio} runners; [None] before any chaos
+    run. *)
 
-(** The scheduler effects are public so that other runners (notably
-    {!Aio}) can handle them alongside their own — an effect declared
-    once composes with any handler that chooses to serve it. *)
+(** The scheduler effects are public so that handlers nested inside
+    {!run} can intercept them — {!Aio}'s I/O handler re-wraps forked
+    children this way.  An effect declared once composes with any
+    handler that chooses to serve it. *)
 type _ Effect.t +=
   | Fork : (unit -> unit) -> unit Effect.t
   | Yield : unit Effect.t
-  | Suspend : ('a resumer -> unit) -> 'a Effect.t
+  | Suspend : (('a, exn) result -> string) * ('a resumer -> unit) -> 'a Effect.t
   | Fork_cancellable : (unit -> unit) -> (unit -> unit) Effect.t
   | Set_killable : bool -> unit Effect.t
   | Current_ctl : Ctl.t option Effect.t
@@ -171,18 +108,24 @@ val fork_cancellable : (unit -> unit) -> unit -> unit
 
 val yield : unit -> unit
 
-val suspend : ('a resumer -> unit) -> 'a
+val suspend : ?wake:(('a, exn) result -> string) -> ('a resumer -> unit) -> 'a
 (** [suspend f] parks the current thread and calls [f resumer]; the
     thread continues (with the value passed to the resumer) after some
     other code invokes it.  Invoking a resumer twice raises
     {!One_shot}; invoking it after the suspension was cancelled is a
-    no-op. *)
+    no-op.  [f] runs in the scheduler's handler, so it must not perform
+    effects.
+
+    [wake] names the wakeup in the eventlog: it is applied to the
+    outcome when the thread becomes runnable — [Ok v] for a resume,
+    [Error e] for a cancel — and its result is the [Wakeup] reason.
+    Default ["wakeup"] for both. *)
 
 val set_killable : bool -> unit
 (** Opt the current fiber in (or out) of chaos kills.  Only fibers that
     opted in — supervised workers and nursery children, which have a
     restart / unwind story — are ever killed; bare fibers are not.
-    A no-op outside {!run} / {!Aio}. *)
+    A no-op outside {!run}. *)
 
 val current_ctl : unit -> Ctl.t option
 (** The control cell of the calling fiber, if it was spawned with
@@ -206,7 +149,8 @@ val run :
     [clock] is the virtual clock used (only when tracing or metrics are
     enabled) to stamp runnable-enqueue instants: every enqueue records
     how long the thunk sat runnable before running, as a [Wakeup] event
-    tagged with its cause (yield / fork / wakeup / cancel / kill) and a
+    tagged with its cause (yield / fork / cancel / kill, or the
+    suspension's [wake] name) and a
     [scheduler_runnable_wait_ns] histogram sample.  Defaults to
     {!Retrofit_util.Vclock.now}; pass the driving event loop's clock
     when one exists.  [idle] is called when the run queue is empty;

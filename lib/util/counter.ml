@@ -10,7 +10,9 @@ let cell t name =
       Hashtbl.add t name r;
       r
 
-let add t name n = cell t name := !(cell t name) + n
+let add t name n =
+  let r = cell t name in
+  r := !r + n
 
 let incr t name = add t name 1
 

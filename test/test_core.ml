@@ -487,6 +487,60 @@ let aio_cancel_races_pending_resume () =
   Alcotest.(check (option string)) "line went to the live reader"
     (Some "x") !got
 
+(* Aio's observability contract: wakeup reasons name the I/O outcome,
+   the pending-read depth is a counter track on the event-loop clock,
+   and every parked read is counted. *)
+let traced_aio f =
+  let (), ring = Retrofit_trace.Trace.scoped f in
+  Retrofit_trace.Trace.to_list ring
+
+let wakeup_reasons evs =
+  List.sort_uniq compare
+    (List.filter_map
+       (fun (e : Retrofit_trace.Event.t) ->
+         match e.ev with Wakeup { reason; _ } -> Some reason | _ -> None)
+       evs)
+
+let pending_track evs =
+  List.filter_map
+    (fun (e : Retrofit_trace.Event.t) ->
+      match e.ev with Io_pending { depth } -> Some (depth, e.ts) | _ -> None)
+    evs
+
+let aio_observability_contract () =
+  let module M = Retrofit_metrics.Metrics in
+  M.reset M.default;
+  let evs, parked =
+    M.scoped (fun _ ->
+        let loop = C.Evloop.create () in
+        let ic = C.Chan.make_ic_lazy loop ~latency:100 [ "a"; "b" ] in
+        let oc = C.Chan.make_oc loop in
+        let evs = traced_aio (fun () -> C.Aio.run_async loop (fun () -> C.Aio.copy ic oc)) in
+        (evs, M.get "aio_parked_reads_total"))
+  in
+  Alcotest.(check (list string)) "wakeup reasons" [ "io-eof"; "io-line" ] (wakeup_reasons evs);
+  Alcotest.(check string) "io_pending track" "1@0 0@100 1@100 0@200 1@200 0@300"
+    (String.concat " "
+       (List.map (fun (d, ts) -> Printf.sprintf "%d@%d" d ts) (pending_track evs)));
+  Alcotest.(check int) "parked reads" 3 parked;
+  (* a reader cancelled while parked wakes with [cancel], and leaves the
+     pending set at the cancel instant *)
+  let loop = C.Evloop.create () in
+  let ic = C.Chan.make_ic_lazy loop ~latency:100 [ "x" ] in
+  let evs =
+    traced_aio (fun () ->
+        C.Aio.run_async loop (fun () ->
+            let cancel = C.Sched.fork_cancellable (fun () -> ignore (C.Aio.input_line ic)) in
+            C.Evloop.after loop ~delay:50 cancel))
+  in
+  Alcotest.(check bool) "cancel wakeup" true (List.mem "cancel" (wakeup_reasons evs));
+  match pending_track evs with
+  | (1, 0) :: after_park ->
+      Alcotest.(check (pair int int)) "drop at the cancel instant" (0, 50) (List.hd after_park);
+      Alcotest.(check (pair int int)) "ends empty" (0, 50)
+        (List.nth after_park (List.length after_park - 1))
+  | _ -> Alcotest.fail "expected one parked read at t=0"
+
 (* ---------------- chaos scheduling ---------------- *)
 
 (* The same seed must produce the same interleaving, kill decisions and
@@ -621,6 +675,7 @@ let suite =
     test "aio timeout completes" aio_timeout_completes;
     test "aio ctl edges both runners" aio_ctl_edges;
     test "aio cancel races pending resume" aio_cancel_races_pending_resume;
+    test "aio observability contract" aio_observability_contract;
     test "sched chaos deterministic" sched_chaos_deterministic;
     test "sched chaos kills killable only" sched_chaos_kills_killable_only;
     test "aio chaos deterministic" aio_chaos_deterministic;
