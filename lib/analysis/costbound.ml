@@ -1,4 +1,5 @@
 module F = Retrofit_fiber
+module C = Retrofit_fiber.Costs
 
 (* ------------------------------------------------------------------ *)
 (* The ∞-aware bound domain.  Arithmetic saturates well below the OCaml
@@ -251,25 +252,25 @@ let totals t =
    all) every bound collapses to ∞; [R <= 1] is one-shot-equivalent
    except for the cloning counters themselves. *)
 
-let counter_names =
+let counters =
   [
-    "perform";
-    "reperform";
-    "eff_tbl_probe";
-    "handle";
-    "fiber_alloc";
-    "resume";
-    "cont_copy";
-    "call";
-    "switch";
-    "overflow_check";
-    "check_elided";
-    "stack_grow";
-    "segment_check";
-    "chunk_commit";
-    "cont_share";
-    "page_fault";
-    "page_commit";
+    C.Perform;
+    C.Reperform;
+    C.Eff_tbl_probe;
+    C.Handle;
+    C.Fiber_alloc;
+    C.Resume;
+    C.Cont_copy;
+    C.Call;
+    C.Switch;
+    C.Overflow_check;
+    C.Check_elided;
+    C.Stack_grow;
+    C.Segment_check;
+    C.Chunk_commit;
+    C.Cont_share;
+    C.Page_fault;
+    C.Page_commit;
   ]
 
 let counter_bounds t ~(policy : F.Stack_policy.t) ~multishot ~red_zone =
@@ -277,7 +278,7 @@ let counter_bounds t ~(policy : F.Stack_policy.t) ~multishot ~red_zone =
     totals t
   in
   if multishot && ble (Fin 2) r && ble (Fin 1) p then
-    List.map (fun n -> (n, Inf)) counter_names
+    List.map (fun n -> (n, Inf)) counters
   else begin
     let zero = Fin 0 in
     (* multishot cloning can add up to R copied chains of at most
@@ -301,57 +302,57 @@ let counter_bounds t ~(policy : F.Stack_policy.t) ~multishot ~red_zone =
     in
     let base =
       [
-        ("perform", p);
-        ("reperform", bmul p live_handlers);
-        ("eff_tbl_probe", bmul p live_handlers);
-        ("handle", h);
-        ("fiber_alloc", h);
-        ("resume", r);
-        ("cont_copy", (if multishot then r else zero));
-        ("call", c);
+        (C.Perform, p);
+        (C.Reperform, bmul p live_handlers);
+        (C.Eff_tbl_probe, bmul p live_handlers);
+        (C.Handle, h);
+        (C.Fiber_alloc, h);
+        (C.Resume, r);
+        (C.Cont_copy, (if multishot then r else zero));
+        (C.Call, c);
         (* per perform, resume and handle one switch; every created
            fiber (installations plus clones) is exited at most once,
            by return or by an exception crossing its boundary *)
-        ("switch", badd (badd p r) (badd (bmul (Fin 2) h) clones));
+        (C.Switch, badd (badd p r) (badd (bmul (Fin 2) h) clones));
       ]
     in
     let policy_bounds =
       match policy.F.Stack_policy.pk with
       | F.Stack_policy.Copy_double ->
           [
-            ("overflow_check", c);
-            ("check_elided", c);
-            ("stack_grow", c);
-            ("segment_check", zero);
-            ("chunk_commit", zero);
-            ("cont_share", zero);
-            ("page_fault", zero);
-            ("page_commit", zero);
+            (C.Overflow_check, c);
+            (C.Check_elided, c);
+            (C.Stack_grow, c);
+            (C.Segment_check, zero);
+            (C.Chunk_commit, zero);
+            (C.Cont_share, zero);
+            (C.Page_fault, zero);
+            (C.Page_commit, zero);
           ]
       | F.Stack_policy.Segmented ->
           [
-            ("overflow_check", zero);
-            ("check_elided", zero);
-            ("stack_grow", zero);
-            ("segment_check", c);
-            ("chunk_commit", commits);
-            ( "cont_share",
+            (C.Overflow_check, zero);
+            (C.Check_elided, zero);
+            (C.Stack_grow, zero);
+            (C.Segment_check, c);
+            (C.Chunk_commit, commits);
+            ( C.Cont_share,
               if policy.F.Stack_policy.cow_clone && multishot then
                 bmul r (badd (Fin 1) h)
               else zero );
-            ("page_fault", zero);
-            ("page_commit", zero);
+            (C.Page_fault, zero);
+            (C.Page_commit, zero);
           ]
       | F.Stack_policy.Large_reserve ->
           [
-            ("overflow_check", zero);
-            ("check_elided", zero);
-            ("stack_grow", zero);
-            ("segment_check", zero);
-            ("chunk_commit", zero);
-            ("cont_share", zero);
-            ("page_fault", c);
-            ("page_commit", commits);
+            (C.Overflow_check, zero);
+            (C.Check_elided, zero);
+            (C.Stack_grow, zero);
+            (C.Segment_check, zero);
+            (C.Chunk_commit, zero);
+            (C.Cont_share, zero);
+            (C.Page_fault, c);
+            (C.Page_commit, commits);
           ]
     in
     List.map
@@ -359,7 +360,7 @@ let counter_bounds t ~(policy : F.Stack_policy.t) ~multishot ~red_zone =
         match List.assoc_opt n base with
         | Some b -> (n, b)
         | None -> (n, List.assoc n policy_bounds))
-      counter_names
+      counters
   end
 
 (* ------------------------------------------------------------------ *)
@@ -402,7 +403,7 @@ let report ?(multishot = false) ?(red_zone = 16) t =
         (Printf.sprintf "  [%s] %s\n" pname
            (String.concat " "
               (List.map
-                 (fun (n, bd) -> Printf.sprintf "%s<=%s" n (bound_to_string bd))
+                 (fun (n, bd) -> Printf.sprintf "%s<=%s" (C.counter_name n) (bound_to_string bd))
                  interesting))))
     F.Stack_policy.all;
   Buffer.contents b
@@ -455,8 +456,8 @@ let diagnostics t =
     }
   in
   let out = ref [] in
-  if t_calls = Inf then out := mk "call" :: !out;
-  if t_performs = Inf then out := mk "perform" :: !out;
-  if t_handles = Inf then out := mk "handle" :: !out;
-  if t_resumes = Inf then out := mk "resume" :: !out;
+  if t_calls = Inf then out := mk C.Call :: !out;
+  if t_performs = Inf then out := mk C.Perform :: !out;
+  if t_handles = Inf then out := mk C.Handle :: !out;
+  if t_resumes = Inf then out := mk C.Resume :: !out;
   Diag.sorted !out

@@ -51,7 +51,7 @@ type totals = {
 
 val totals : t -> totals
 
-val counter_names : string list
+val counters : Retrofit_fiber.Costs.counter list
 (** The machine counters this pass bounds. *)
 
 val counter_bounds :
@@ -59,8 +59,8 @@ val counter_bounds :
   policy:Retrofit_fiber.Stack_policy.t ->
   multishot:bool ->
   red_zone:int ->
-  (string * bound) list
-(** One entry per {!counter_names}.  Under multishot, if a second
+  (Retrofit_fiber.Costs.counter * bound) list
+(** One entry per {!counters}.  Under multishot, if a second
     resume is possible ([R >= 2] with at least one perform) every bound
     is ∞: re-executed cloned suffixes break per-invocation
     accounting. *)

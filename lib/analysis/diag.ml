@@ -15,7 +15,7 @@ type kind =
       computed_leaf : bool;
     }
   | Megamorphic_dispatch of { effect_name : string; outcomes : int }
-  | Unbounded_cost of { counter : string; cause : string }
+  | Unbounded_cost of { counter : Retrofit_fiber.Costs.counter; cause : string }
 
 type t = {
   kind : kind;
@@ -74,7 +74,9 @@ let kind_detail = function
          inline-cache candidate"
         effect_name outcomes
   | Unbounded_cost { counter; cause } ->
-      Printf.sprintf "no finite static bound for counter %s (%s)" counter cause
+      Printf.sprintf "no finite static bound for counter %s (%s)"
+        (Retrofit_fiber.Costs.counter_name counter)
+        cause
 
 (* A witness step renders as [name(file:line)] when the caller supplies
    a locator — the listing position of the function's definition, in a

@@ -38,7 +38,7 @@ type kind =
   | Megamorphic_dispatch of { effect_name : string; outcomes : int }
       (** the handler-resolution pass found too many distinct dynamic
           dispatch outcomes at this perform site for an inline cache *)
-  | Unbounded_cost of { counter : string; cause : string }
+  | Unbounded_cost of { counter : Retrofit_fiber.Costs.counter; cause : string }
       (** the cost-bound pass cannot give the named runtime counter a
           finite whole-program bound (recursion, a non-constant loop
           count, or an opaque external call) *)

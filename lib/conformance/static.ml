@@ -158,10 +158,11 @@ let bound_contradiction (c : claims) ~(policy : Retrofit_fiber.Stack_policy.t)
       ~red_zone
   in
   List.find_map
-    (fun (name, b) ->
+    (fun (counter, b) ->
       match A.Costbound.finite b with
       | None -> None
       | Some limit ->
+          let name = Retrofit_fiber.Costs.counter_name counter in
           let v = Retrofit_util.Counter.get counters name in
           if v > limit then
             Some

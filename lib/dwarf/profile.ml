@@ -1,5 +1,4 @@
 module Machine = Retrofit_fiber.Machine
-module Counter = Retrofit_util.Counter
 module Metrics = Retrofit_metrics.Metrics
 
 type t = {
@@ -54,7 +53,7 @@ let sample t m =
   | exception Unwind.Unwind_error _ -> t.failures <- t.failures + 1
 
 let on_step t m =
-  let now = Counter.get (Machine.counters m) "instructions" in
+  let now = Machine.instructions m in
   if now >= t.next_at then begin
     (* Align the next deadline to the interval grid so a burst of
        expensive instructions costs one sample, not several, and the

@@ -97,3 +97,62 @@ val cow_share : int
 
 val cow_per_word : int
 (** deferred copy cost when a shared chunk is privatized by a write *)
+
+(** {1 Counter vocabulary}
+
+    The machine's cost counters, one constructor per name it reports.
+    The machine keeps them in an [int array] indexed by
+    {!counter_index}; {!counter_name} is the name under which the
+    rendered {!Retrofit_util.Counter.t} table, the goldens and the
+    metrics export list each one.  {!Instructions} is the weighted
+    total of the costs above; the rest count events. *)
+
+type counter =
+  | Ops  (** bytecode operations executed *)
+  | Instructions
+  | Call
+  | Ret
+  | Overflow_check
+  | Check_elided  (** prologue checks the red zone let the compiler drop *)
+  | Segment_check
+  | Chunk_commit
+  | Page_fault
+  | Page_commit
+  | Chunk_pool_hit
+  | Stack_grow
+  | Words_copied  (** stack words copied by growth and clones *)
+  | Raise
+  | Pushtrap
+  | Poptrap
+  | Extcall
+  | Callback
+  | Handle
+  | Fiber_alloc
+  | Malloc
+  | Stack_cache_lookup
+  | Stack_cache_hit
+  | Stack_cache_miss
+  | Fiber_free
+  | Fiber_return
+  | Switch
+  | Perform
+  | Reperform
+  | Eff_tbl_probe  (** observation only: handler tables probed; never charged *)
+  | Resume
+  | Cont_copy
+  | Cont_share
+  | Chunk_cow
+  | Cow_words  (** words copied when a shared chunk is privatized *)
+  | Addr_index_probe
+
+val all_counters : counter list
+(** Every counter, in declaration order. *)
+
+val counter_name : counter -> string
+
+external counter_index : counter -> int = "%identity"
+(** Constant constructors are immediates numbered in declaration order,
+    so this is the counter's position in {!all_counters}: a free array
+    index. *)
+
+val n_counters : int

@@ -65,7 +65,11 @@ let audit_fail a inv detail =
 type t = {
   cfg : Config.t;
   prog : Compile.compiled;
-  t_counters : Counter.t;
+  (* Cost counters, one slot per [Costs.counter].  [t_zero_added]
+     marks slots an [add] of 0 touched: the rendered table lists those
+     with 0, as a name-keyed table that created them would. *)
+  t_counts : int array;
+  t_zero_added : bool array;
   cache : Stack_cache.t;
   mutable current : Fiber.t;
   fibers_live : (int, Fiber.t) Hashtbl.t;
@@ -99,7 +103,17 @@ let compiled t = t.prog
 
 let config t = t.cfg
 
-let counters t = t.t_counters
+let counters t =
+  Counter.of_list
+    (List.filter_map
+       (fun k ->
+         let i = Costs.counter_index k in
+         if t.t_counts.(i) <> 0 || t.t_zero_added.(i) then
+           Some (Costs.counter_name k, t.t_counts.(i))
+         else None)
+       Costs.all_counters)
+
+let instructions t = t.t_counts.(Costs.counter_index Costs.Instructions)
 
 let current_fiber t = t.current
 
@@ -107,19 +121,26 @@ let fiber_by_id t id = Hashtbl.find_opt t.fibers_live id
 
 let fatal msg = raise (Fatal_error msg)
 
-let charge t n = Counter.add t.t_counters "instructions" n
+let count t c =
+  let i = Costs.counter_index c in
+  t.t_counts.(i) <- t.t_counts.(i) + 1
 
-let count t name = Counter.incr t.t_counters name
+let add t c n =
+  let i = Costs.counter_index c in
+  t.t_counts.(i) <- t.t_counts.(i) + n;
+  if n = 0 then t.t_zero_added.(i) <- true
+
+let charge t n = add t Costs.Instructions n
 
 (* Eventlog emission.  Machine events are stamped with the cumulative
    instruction cost — the machine's own virtual clock — and every site
    guards with [Trace.on ()] so the disabled path is one branch: no
    event is built, no counter is touched, and the frozen cost tables
    stay bit-identical. *)
-let emit_ev t ev = Trace.emit ~ts:(Counter.get t.t_counters "instructions") ev
+let emit_ev t ev = Trace.emit ~ts:(instructions t) ev
 
 let fiber_of_addr t addr =
-  count t "addr_index_probe";
+  count t Costs.Addr_index_probe;
   match Imap.find_last_opt (fun b -> b <= addr) t.by_base with
   | Some (_, f) when Segment.contains f.Fiber.seg addr -> Some f
   | _ -> None
@@ -158,7 +179,7 @@ let take_chunk t ~words =
   | arr :: rest when Array.length arr = words ->
       t.chunk_pool <- rest;
       t.chunk_pool_len <- t.chunk_pool_len - 1;
-      count t "chunk_pool_hit";
+      count t Costs.Chunk_pool_hit;
       Array.fill arr 0 words 0;
       arr
   | _ -> Array.make words 0
@@ -186,19 +207,19 @@ let seg_create t ~size =
   seg
 
 let alloc_segment t ~size =
-  if t.cfg.stack_cache then count t "stack_cache_lookup";
+  if t.cfg.stack_cache then count t Costs.Stack_cache_lookup;
   match if t.cfg.stack_cache then Stack_cache.take t.cache ~size else None with
   | Some seg ->
-      count t "stack_cache_hit";
+      count t Costs.Stack_cache_hit;
       charge t Costs.fiber_alloc_cached;
       if Trace.on () then emit_ev t (Tev.Cache_hit { size });
       seg
   | None ->
       if t.cfg.stack_cache then begin
-        count t "stack_cache_miss";
+        count t Costs.Stack_cache_miss;
         if Trace.on () then emit_ev t (Tev.Cache_miss { size })
       end;
-      count t "malloc";
+      count t Costs.Malloc;
       charge t Costs.fiber_alloc;
       seg_create t ~size
 
@@ -256,7 +277,7 @@ let free_fiber t (f : Fiber.t) =
   f.live <- false;
   Hashtbl.remove t.fibers_live f.id;
   t.by_base <- Imap.remove (Segment.base f.seg) t.by_base;
-  count t "fiber_free";
+  count t Costs.Fiber_free;
   charge t Costs.fiber_free;
   match (mc_policy t).Stack_policy.pk with
   | Stack_policy.Copy_double ->
@@ -289,8 +310,8 @@ let grow t (f : Fiber.t) ~needed =
   let new_size = pick (old_size * 2) in
   let new_seg = alloc_segment t ~size:new_size in
   Segment.blit_into ~src:old_seg ~dst:new_seg;
-  count t "stack_grow";
-  Counter.add t.t_counters "words_copied" old_size;
+  count t Costs.Stack_grow;
+  add t Costs.Words_copied old_size;
   charge t (Costs.grow_base + (Costs.grow_per_word * old_size));
   if Trace.on () then
     emit_ev t
@@ -325,7 +346,7 @@ let switch_to t (f : Fiber.t) =
     emit_ev t
       (Tev.Fiber_switch { from_id = t.current.Fiber.id; to_id = f.Fiber.id });
   t.current <- f;
-  count t "switch"
+  count t Costs.Switch
 
 (* ------------------------------------------------------------------ *)
 (* Calls *)
@@ -400,23 +421,23 @@ let emulate_call t (f : Fiber.t) fid (args : int array) ~ra =
                      (not checked) fn.is_leaf needed t.cfg.red_zone)
             | _ -> ());
             if checked then begin
-              count t "overflow_check";
+              count t Costs.Overflow_check;
               charge t Costs.check;
               if f.regs.sp - needed < Segment.limit f.seg + t.cfg.red_zone then
                 grow t f ~needed
             end
-            else count t "check_elided";
+            else count t Costs.Check_elided;
             if f.regs.sp - needed < Segment.limit f.seg then
               fatal (Printf.sprintf "red zone violated by %s" fn.fn_name);
             true
         | Stack_policy.Segmented ->
             (* Every call pays the boundary check; there is no red-zone
                elision to buy back (the libseff segmented trade-off). *)
-            count t "segment_check";
+            count t Costs.Segment_check;
             charge t Costs.segment_check;
             if f.regs.sp - needed < Segment.limit f.seg + t.cfg.red_zone then
               grow_in_place t f ~needed ~per_chunk:(fun () ->
-                  count t "chunk_commit";
+                  count t Costs.Chunk_commit;
                   charge t Costs.chunk_commit)
             else true
         | Stack_policy.Large_reserve ->
@@ -424,16 +445,16 @@ let emulate_call t (f : Fiber.t) fid (args : int array) ~ra =
                Crossing the committed watermark is a modeled fault that
                commits pages in place. *)
             if f.regs.sp - needed < Segment.limit f.seg + t.cfg.red_zone then begin
-              count t "page_fault";
+              count t Costs.Page_fault;
               charge t Costs.page_fault;
               grow_in_place t f ~needed ~per_chunk:(fun () ->
-                  count t "page_commit";
+                  count t Costs.Page_commit;
                   charge t Costs.page_commit)
             end
             else true)
   in
   if ok then begin
-    count t "call";
+    count t Costs.Call;
     charge t Costs.call;
     let ra_addr = f.regs.sp - 1 in
     wr f ra_addr ra;
@@ -458,7 +479,7 @@ let emulate_call t (f : Fiber.t) fid (args : int array) ~ra =
 (* Exceptions *)
 
 let machine_raise t exn_id payload =
-  count t "raise";
+  count t Costs.Raise;
   charge t Costs.raise_;
   if Trace.on () then
     emit_ev t (Tev.Raise { exn = Compile.exn_name t.prog exn_id });
@@ -535,7 +556,7 @@ let fiber_return t result =
   let h =
     match f.handler with Some h -> h | None -> fatal "fiber return without a handler"
   in
-  count t "fiber_return";
+  count t Costs.Fiber_return;
   charge t Costs.fiber_return;
   if Trace.on () then
     emit_ev t
@@ -546,7 +567,7 @@ let fiber_return t result =
   emulate_call t p h.Compile.h_retc [| result |] ~ra:p.regs.pc
 
 let do_perform t eff_id =
-  count t "perform";
+  count t Costs.Perform;
   charge t Costs.perform;
   if Trace.on () then emit_ev t (Tev.Perform { eff = t.prog.eff_names.(eff_id) });
   (* [exec_instr] bumps pc before dispatching, so the PerformI site is
@@ -596,7 +617,7 @@ let do_perform t eff_id =
           machine_raise t t.unhandled_id 0
         end
     | Some h -> (
-        count t "eff_tbl_probe";
+        count t Costs.Eff_tbl_probe;
         relink_last_to cur;
         Vec.push k.fibers cur;
         let p =
@@ -611,7 +632,7 @@ let do_perform t eff_id =
             switch_to t p;
             emulate_call t p fid [| v; kid |] ~ra:p.regs.pc
         | None ->
-            count t "reperform";
+            count t Costs.Reperform;
             charge t Costs.reperform;
             hop p)
   in
@@ -641,17 +662,17 @@ let copy_fiber t (f : Fiber.t) =
     | Stack_policy.Copy_double ->
         let seg = alloc_segment t ~size in
         Segment.blit_into ~src:f.seg ~dst:seg;
-        Counter.add t.t_counters "words_copied" size;
+        add t Costs.Words_copied size;
         charge t (Costs.grow_per_word * size);
         seg
     | Stack_policy.Segmented when pol.Stack_policy.cow_clone ->
         let seg = Segment.share_clone f.seg ~base:t.next_base in
         t.next_base <- t.next_base + Segment.reserve seg + 8;
-        count t "cont_share";
+        count t Costs.Cont_share;
         charge t Costs.cow_share;
         Segment.set_notify_cow seg (fun words ->
-            count t "chunk_cow";
-            Counter.add t.t_counters "cow_words" words;
+            count t Costs.Chunk_cow;
+            add t Costs.Cow_words words;
             charge t (Costs.cow_per_word * words));
         seg
     | Stack_policy.Segmented | Stack_policy.Large_reserve ->
@@ -660,8 +681,8 @@ let copy_fiber t (f : Fiber.t) =
         let seg = alloc_segment t ~size:head in
         let commit_counter, commit_cost =
           match pol.Stack_policy.pk with
-          | Stack_policy.Large_reserve -> ("page_commit", Costs.page_commit)
-          | _ -> ("chunk_commit", Costs.chunk_commit)
+          | Stack_policy.Large_reserve -> (Costs.Page_commit, Costs.page_commit)
+          | _ -> (Costs.Chunk_commit, Costs.chunk_commit)
         in
         for _ = 1 to Segment.ext_count f.seg do
           count t commit_counter;
@@ -669,7 +690,7 @@ let copy_fiber t (f : Fiber.t) =
           Segment.extend seg (take_chunk t ~words:ext)
         done;
         Segment.blit_into ~src:f.seg ~dst:seg;
-        Counter.add t.t_counters "words_copied" size;
+        add t Costs.Words_copied size;
         charge t (Costs.grow_per_word * size);
         seg
   in
@@ -713,7 +734,7 @@ let do_resume t ~raise_instead v kid =
   let k = take_cont t kid in
   if not k.cont_live then machine_raise t t.invalid_arg_id 0
   else begin
-    count t "resume";
+    count t Costs.Resume;
     charge t (Costs.resume + (Costs.resume_per_fiber * Vec.length k.fibers));
     if Trace.on () then begin
       match raise_instead with
@@ -726,7 +747,7 @@ let do_resume t ~raise_instead v kid =
       if t.cfg.multishot then begin
         (* resuming copies the fibers and leaves the continuation as it
            is (§5.2, operational semantics) *)
-        count t "cont_copy";
+        count t Costs.Cont_copy;
         copy_chain t k.fibers
       end
       else begin
@@ -748,7 +769,7 @@ let do_resume t ~raise_instead v kid =
   end
 
 let do_handle t hidx =
-  count t "handle";
+  count t Costs.Handle;
   let spec = t.prog.handles.(hidx) in
   let args = Array.make spec.h_nargs 0 in
   for i = spec.h_nargs - 1 downto 0 do
@@ -761,7 +782,7 @@ let do_handle t hidx =
     new_fiber t ~parent:(Some t.current) ~handler:(Some spec) ~handler_index:hidx
       ~bottom_trap:Layout.trap_forward ~size
   in
-  count t "fiber_alloc";
+  count t Costs.Fiber_alloc;
   if Trace.on () then
     emit_ev t (Tev.Handler_push { hidx; fiber = f.Fiber.id });
   switch_to t f;
@@ -771,7 +792,7 @@ let do_handle t hidx =
 (* Traps *)
 
 let push_trap t (f : Fiber.t) ~hpc =
-  count t "pushtrap";
+  count t Costs.Pushtrap;
   charge t Costs.pushtrap;
   let a = f.regs.sp - 2 in
   wr f a f.regs.exn_ptr;
@@ -781,7 +802,7 @@ let push_trap t (f : Fiber.t) ~hpc =
   Vec.push f.traps (a, Vec.length f.ops)
 
 let pop_trap t (f : Fiber.t) =
-  count t "poptrap";
+  count t Costs.Poptrap;
   charge t Costs.poptrap;
   let a = f.regs.exn_ptr in
   if a <> f.regs.sp then fatal "poptrap with a non-top trap";
@@ -1008,7 +1029,7 @@ let require_mc t what =
 let rec exec_instr t =
   if t.fuel <= 0 then fatal "out of fuel";
   t.fuel <- t.fuel - 1;
-  count t "ops";
+  count t Costs.Ops;
   let f = t.current in
   let pc = f.Fiber.regs.pc in
   if pc < 0 || pc >= Array.length t.prog.code then
@@ -1050,7 +1071,7 @@ let rec exec_instr t =
       done;
       emulate_call t f fid args ~ra:f.regs.pc
   | Ir.Ret -> (
-      count t "ret";
+      count t Costs.Ret;
       charge t Costs.ret;
       let result = pop_op f in
       let sf = Vec.pop f.shadow in
@@ -1092,7 +1113,7 @@ let rec exec_instr t =
       let kid = pop_op f in
       do_resume t ~raise_instead:(Some exn_id) payload kid
   | Ir.ExtcallI (cid, nargs) -> (
-      count t "extcall";
+      count t Costs.Extcall;
       charge t (Costs.extcall t.cfg + Costs.cfun_body);
       if Trace.on () then
         emit_ev t (Tev.Extcall_begin { name = t.prog.cfun_names.(cid) });
@@ -1133,7 +1154,7 @@ and run_callback t name args =
         fid
     | None -> fatal (Printf.sprintf "callback to unknown function %s" name)
   in
-  count t "callback";
+  count t Costs.Callback;
   charge t (Costs.callback t.cfg);
   if Trace.on () then emit_ev t (Tev.Callback_begin { name });
   let f = t.current in
@@ -1227,7 +1248,6 @@ let shadow_backtrace t =
 
 let run ?cache ?(cfuns = []) ?on_call ?on_step ?on_perform ?audit
     ?(fuel = 200_000_000) cfg prog =
-  let counters = Counter.create () in
   let cache = match cache with Some c -> c | None -> Stack_cache.create () in
   let cfun_impls =
     Array.map
@@ -1240,7 +1260,8 @@ let run ?cache ?(cfuns = []) ?on_call ?on_step ?on_perform ?audit
     {
       cfg;
       prog;
-      t_counters = counters;
+      t_counts = Array.make Costs.n_counters 0;
+      t_zero_added = Array.make Costs.n_counters false;
       cache;
       current = dummy;
       fibers_live = Hashtbl.create 64;
@@ -1285,4 +1306,4 @@ let run ?cache ?(cfuns = []) ?on_call ?on_step ?on_perform ?audit
     | exception Cb_return _ -> Fatal "callback return outside a callback"
     | exception Ocaml_exn (name, payload) -> Uncaught (name, payload)
   in
-  (outcome, counters)
+  (outcome, counters t)

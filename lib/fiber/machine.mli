@@ -14,7 +14,9 @@
 
     Every run returns the cost counters; the "instructions" counter is
     the weighted total defined by {!Costs} and backs the Table 1
-    instruction-count experiment. *)
+    instruction-count experiment.  The machine counts into an array
+    indexed by {!Costs.counter} and renders it as a named
+    {!Retrofit_util.Counter.t} when asked. *)
 
 type outcome =
   | Done of int
@@ -125,6 +127,15 @@ val compiled : t -> Compile.compiled
 val config : t -> Config.t
 
 val counters : t -> Retrofit_util.Counter.t
+(** A snapshot of the cost counters so far, rendered as the table {!run}
+    returns: every counter the run has touched, by
+    {!Costs.counter_name}.  Later steps do not update it, and building
+    it walks every counter, so hooks that run per step should read
+    {!instructions} instead. *)
+
+val instructions : t -> int
+(** The "instructions" counter so far — the machine's virtual clock —
+    without building a snapshot. *)
 
 val current_fiber : t -> Fiber.t
 

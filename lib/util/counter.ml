@@ -16,6 +16,11 @@ let add t name n =
 
 let incr t name = add t name 1
 
+let of_list l =
+  let t = create () in
+  List.iter (fun (name, n) -> add t name n) l;
+  t
+
 let get t name = match Hashtbl.find_opt t name with Some r -> !r | None -> 0
 
 let reset t = Hashtbl.reset t

@@ -1,8 +1,11 @@
 (** Named monotonic counters.
 
-    The fiber machine reports its costs (instructions executed, overflow
-    checks, stack copies, mallocs, cache hits, fiber switches) through a
-    counter set so that experiments can diff configurations. *)
+    The exchange type for cost reports.  The fiber machine counts into
+    a typed array (see [Retrofit_fiber.Costs.counter]) and renders its
+    costs (instructions executed, overflow checks, stack copies,
+    mallocs, cache hits, fiber switches) into a counter set, so that
+    experiments, the analyzer's soundness checks and the metrics export
+    can read and diff them by name. *)
 
 type t
 
@@ -11,6 +14,10 @@ val create : unit -> t
 val incr : t -> string -> unit
 
 val add : t -> string -> int -> unit
+
+val of_list : (string * int) list -> t
+(** A set holding the given counts; a name listed with 0 is present
+    (it appears in {!to_list}). *)
 
 val get : t -> string -> int
 (** 0 for names never incremented. *)

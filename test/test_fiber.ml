@@ -552,6 +552,56 @@ let fuel_bound () =
         (String.length msg >= 11 && String.sub msg 0 11 = "out of fuel")
   | _ -> Alcotest.fail "expected out of fuel"
 
+(* [Machine.counters] is a snapshot rendered from the machine's typed
+   counters: mid-run it agrees with the cheap [instructions] clock, at
+   the end it is the table [run] returns, and no two counters share a
+   rendered name. *)
+let counter_snapshot_contract () =
+  let module C = Retrofit_util.Counter in
+  let names = List.map F.Costs.counter_name F.Costs.all_counters in
+  Alcotest.(check int) "counter names are distinct"
+    (List.length names)
+    (List.length (List.sort_uniq String.compare names));
+  Alcotest.(check (list int)) "counter_index numbers all_counters"
+    (List.init F.Costs.n_counters Fun.id)
+    (List.map F.Costs.counter_index F.Costs.all_counters);
+  let cow_ms =
+    F.Config.with_multishot true
+      (F.Config.with_policy F.Stack_policy.segmented_cow F.Config.mc)
+  in
+  List.iter
+    (fun (label, cfg, p) ->
+      let last = ref None and steps = ref 0 and sampled = ref 0 in
+      let on_step m =
+        last := Some m;
+        incr steps;
+        if !steps mod 13 = 1 then begin
+          incr sampled;
+          Alcotest.(check int)
+            (Printf.sprintf "%s step %d instructions" label !steps)
+            (C.get (F.Machine.counters m) "instructions")
+            (F.Machine.instructions m)
+        end
+      in
+      let _, returned =
+        F.Machine.run ~cfuns:F.Programs.standard_cfuns ~on_step cfg
+          (F.Compile.compile p)
+      in
+      Alcotest.(check bool) (label ^ " sampled steps") true (!sampled > 10);
+      match !last with
+      | None -> Alcotest.failf "%s: on_step never ran" label
+      | Some m ->
+          Alcotest.(check (list (pair string int)))
+            (label ^ " final snapshot = returned table")
+            (C.to_list returned)
+            (C.to_list (F.Machine.counters m)))
+    [
+      ("fib", F.Config.mc, F.Programs.fib ~n:12);
+      ("effects", F.Config.mc, F.Programs.effect_roundtrip ~iters:20);
+      ("callback", F.Config.mc, F.Programs.callback ~iters:20);
+      ("nqueens/segcow-ms", cow_ms, F.Programs.nqueens ~n:4);
+    ]
+
 (* property: instruction counts are deterministic *)
 let prop_deterministic =
   QCheck.Test.make ~name:"machine runs are deterministic" ~count:20
@@ -618,4 +668,5 @@ let suite =
     test "fuel bound" fuel_bound;
     QCheck_alcotest.to_alcotest prop_deterministic;
     QCheck_alcotest.to_alcotest prop_mc_overhead_nonnegative;
+    test "counter snapshots agree with the typed counters" counter_snapshot_contract;
   ]

@@ -247,4 +247,115 @@ let check_entry (key, want_outcome, frozen) =
 
 let frozen_counters () = List.iter check_entry expected
 
-let suite = [ test "paper-model counters match the seed (Tables 1-2)" frozen_counters ]
+(* The complete rendered table — every name the run touched, event
+   counters and zero-valued entries included — captured from the
+   string-keyed machine before it counted into a typed array.  Unlike
+   [expected], these compare [Counter.to_list] whole, so a counter the
+   rendering drops, adds or renames fails here. *)
+let full_tables =
+  [
+    ( "fib15/stock",
+      "Done 610",
+      [ ("call", 1974); ("instructions", 28638); ("malloc", 1); ("ops", 20716); ("ret", 1974); ] );
+    ( "fib15/mc",
+      "Done 610",
+      [ ("call", 1974); ("instructions", 32672); ("malloc", 2); ("ops", 20716); ("overflow_check", 1974); ("ret", 1974); ("stack_cache_lookup", 2); ("stack_cache_miss", 2); ("stack_grow", 1); ("words_copied", 41); ] );
+    ( "fib15/ms",
+      "Done 610",
+      [ ("call", 1974); ("instructions", 32672); ("malloc", 2); ("ops", 20716); ("overflow_check", 1974); ("ret", 1974); ("stack_cache_lookup", 2); ("stack_cache_miss", 2); ("stack_grow", 1); ("words_copied", 41); ] );
+    ( "fib15/seg",
+      "Done 610",
+      [ ("call", 1974); ("chunk_commit", 1); ("instructions", 32598); ("malloc", 1); ("ops", 20716); ("ret", 1974); ("segment_check", 1974); ("stack_cache_lookup", 1); ("stack_cache_miss", 1); ] );
+    ( "fib15/segcow-ms",
+      "Done 610",
+      [ ("call", 1974); ("chunk_commit", 1); ("instructions", 32598); ("malloc", 1); ("ops", 20716); ("ret", 1974); ("segment_check", 1974); ("stack_cache_lookup", 1); ("stack_cache_miss", 1); ] );
+    ( "fib15/res",
+      "Done 610",
+      [ ("call", 1974); ("instructions", 28674); ("malloc", 1); ("ops", 20716); ("page_commit", 1); ("page_fault", 1); ("ret", 1974); ("stack_cache_lookup", 1); ("stack_cache_miss", 1); ] );
+    ( "fib15/res-ms",
+      "Done 610",
+      [ ("call", 1974); ("instructions", 28674); ("malloc", 1); ("ops", 20716); ("page_commit", 1); ("page_fault", 1); ("ret", 1974); ("stack_cache_lookup", 1); ("stack_cache_miss", 1); ] );
+    ( "effect_roundtrip/stock",
+      "Fatal an effect handler is not supported by the stock runtime configuration",
+      [ ("call", 1); ("instructions", 33); ("malloc", 1); ("ops", 6); ] );
+    ( "effect_roundtrip/mc",
+      "Done 0",
+      [ ("call", 301); ("check_elided", 100); ("eff_tbl_probe", 100); ("fiber_alloc", 100); ("fiber_free", 100); ("fiber_return", 100); ("handle", 100); ("instructions", 7353); ("malloc", 2); ("ops", 1906); ("overflow_check", 201); ("perform", 100); ("resume", 100); ("ret", 301); ("stack_cache_hit", 99); ("stack_cache_lookup", 101); ("stack_cache_miss", 2); ("switch", 400); ] );
+    ( "effect_roundtrip/ms",
+      "Done 0",
+      [ ("call", 301); ("check_elided", 100); ("cont_copy", 100); ("eff_tbl_probe", 100); ("fiber_alloc", 100); ("fiber_free", 100); ("fiber_return", 100); ("handle", 100); ("instructions", 13953); ("malloc", 102); ("ops", 1906); ("overflow_check", 201); ("perform", 100); ("resume", 100); ("ret", 301); ("stack_cache_hit", 99); ("stack_cache_lookup", 201); ("stack_cache_miss", 102); ("switch", 400); ("words_copied", 4100); ] );
+    ( "effect_roundtrip/seg",
+      "Done 0",
+      [ ("call", 301); ("eff_tbl_probe", 100); ("fiber_alloc", 100); ("fiber_free", 100); ("fiber_return", 100); ("handle", 100); ("instructions", 7553); ("malloc", 2); ("ops", 1906); ("perform", 100); ("resume", 100); ("ret", 301); ("segment_check", 301); ("stack_cache_hit", 99); ("stack_cache_lookup", 101); ("stack_cache_miss", 2); ("switch", 400); ] );
+    ( "effect_roundtrip/segcow-ms",
+      "Done 0",
+      [ ("call", 301); ("chunk_cow", 100); ("cont_copy", 100); ("cont_share", 100); ("cow_words", 4100); ("eff_tbl_probe", 100); ("fiber_alloc", 100); ("fiber_free", 100); ("fiber_return", 100); ("handle", 100); ("instructions", 12153); ("malloc", 2); ("ops", 1906); ("perform", 100); ("resume", 100); ("ret", 301); ("segment_check", 301); ("stack_cache_hit", 99); ("stack_cache_lookup", 101); ("stack_cache_miss", 2); ("switch", 400); ] );
+    ( "effect_roundtrip/res",
+      "Done 0",
+      [ ("call", 301); ("eff_tbl_probe", 100); ("fiber_alloc", 100); ("fiber_free", 100); ("fiber_return", 100); ("handle", 100); ("instructions", 6951); ("malloc", 2); ("ops", 1906); ("perform", 100); ("resume", 100); ("ret", 301); ("stack_cache_hit", 99); ("stack_cache_lookup", 101); ("stack_cache_miss", 2); ("switch", 400); ] );
+    ( "effect_roundtrip/res-ms",
+      "Done 0",
+      [ ("call", 301); ("cont_copy", 100); ("eff_tbl_probe", 100); ("fiber_alloc", 100); ("fiber_free", 100); ("fiber_return", 100); ("handle", 100); ("instructions", 13551); ("malloc", 102); ("ops", 1906); ("perform", 100); ("resume", 100); ("ret", 301); ("stack_cache_hit", 99); ("stack_cache_lookup", 201); ("stack_cache_miss", 102); ("switch", 400); ("words_copied", 4100); ] );
+    ( "deep_recursion/stock",
+      "Fatal an effect handler is not supported by the stock runtime configuration",
+      [ ("call", 1); ("instructions", 29); ("malloc", 1); ("ops", 2); ] );
+    ( "deep_recursion/mc",
+      "Done 5000",
+      [ ("call", 5003); ("check_elided", 1); ("fiber_alloc", 1); ("fiber_free", 1); ("fiber_return", 1); ("handle", 1); ("instructions", 95907); ("malloc", 10); ("ops", 55012); ("overflow_check", 5002); ("ret", 5003); ("stack_cache_lookup", 10); ("stack_cache_miss", 10); ("stack_grow", 8); ("switch", 2); ("words_copied", 10455); ] );
+    ( "deep_recursion/ms",
+      "Done 5000",
+      [ ("call", 5003); ("check_elided", 1); ("fiber_alloc", 1); ("fiber_free", 1); ("fiber_return", 1); ("handle", 1); ("instructions", 95907); ("malloc", 10); ("ops", 55012); ("overflow_check", 5002); ("ret", 5003); ("stack_cache_lookup", 10); ("stack_cache_miss", 10); ("stack_grow", 8); ("switch", 2); ("words_copied", 10455); ] );
+    ( "deep_recursion/seg",
+      "Done 5000",
+      [ ("call", 5003); ("chunk_commit", 157); ("fiber_alloc", 1); ("fiber_free", 1); ("fiber_return", 1); ("handle", 1); ("instructions", 86978); ("malloc", 2); ("ops", 55012); ("ret", 5003); ("segment_check", 5003); ("stack_cache_lookup", 2); ("stack_cache_miss", 2); ("switch", 2); ] );
+    ( "deep_recursion/segcow-ms",
+      "Done 5000",
+      [ ("call", 5003); ("chunk_commit", 157); ("fiber_alloc", 1); ("fiber_free", 1); ("fiber_return", 1); ("handle", 1); ("instructions", 86978); ("malloc", 2); ("ops", 55012); ("ret", 5003); ("segment_check", 5003); ("stack_cache_lookup", 2); ("stack_cache_miss", 2); ("switch", 2); ] );
+    ( "deep_recursion/res",
+      "Done 5000",
+      [ ("call", 5003); ("fiber_alloc", 1); ("fiber_free", 1); ("fiber_return", 1); ("handle", 1); ("instructions", 76528); ("malloc", 2); ("ops", 55012); ("page_commit", 40); ("page_fault", 40); ("ret", 5003); ("stack_cache_lookup", 2); ("stack_cache_miss", 2); ("switch", 2); ] );
+    ( "deep_recursion/res-ms",
+      "Done 5000",
+      [ ("call", 5003); ("fiber_alloc", 1); ("fiber_free", 1); ("fiber_return", 1); ("handle", 1); ("instructions", 76528); ("malloc", 2); ("ops", 55012); ("page_commit", 40); ("page_fault", 40); ("ret", 5003); ("stack_cache_lookup", 2); ("stack_cache_miss", 2); ("switch", 2); ] );
+    ( "nqueens5/stock",
+      "Fatal an effect handler is not supported by the stock runtime configuration",
+      [ ("call", 1); ("instructions", 29); ("malloc", 1); ("ops", 2); ] );
+    ( "nqueens5/mc",
+      "Uncaught Invalid_argument 0",
+      [ ("call", 39); ("check_elided", 1); ("eff_tbl_probe", 2); ("fiber_alloc", 1); ("fiber_free", 1); ("fiber_return", 1); ("handle", 1); ("instructions", 865); ("malloc", 3); ("ops", 392); ("overflow_check", 38); ("perform", 2); ("raise", 1); ("resume", 2); ("ret", 33); ("stack_cache_hit", 1); ("stack_cache_lookup", 4); ("stack_cache_miss", 3); ("stack_grow", 2); ("switch", 6); ("words_copied", 82); ] );
+    ( "nqueens5/ms",
+      "Done 10",
+      [ ("call", 5080); ("check_elided", 177); ("cont_copy", 220); ("eff_tbl_probe", 44); ("fiber_alloc", 1); ("fiber_free", 177); ("fiber_return", 177); ("handle", 1); ("instructions", 121324); ("malloc", 49); ("ops", 56948); ("overflow_check", 4903); ("perform", 44); ("resume", 220); ("ret", 5908); ("stack_cache_hit", 240); ("stack_cache_lookup", 289); ("stack_cache_miss", 49); ("stack_grow", 67); ("switch", 442); ("words_copied", 23083); ] );
+    ( "nqueens5/seg",
+      "Uncaught Invalid_argument 0",
+      [ ("call", 39); ("chunk_commit", 2); ("chunk_pool_hit", 1); ("eff_tbl_probe", 2); ("fiber_alloc", 1); ("fiber_free", 1); ("fiber_return", 1); ("handle", 1); ("instructions", 734); ("malloc", 2); ("ops", 392); ("perform", 2); ("raise", 1); ("resume", 2); ("ret", 33); ("segment_check", 39); ("stack_cache_lookup", 2); ("stack_cache_miss", 2); ("switch", 6); ] );
+    ( "nqueens5/segcow-ms",
+      "Done 10",
+      [ ("call", 5080); ("chunk_commit", 7); ("chunk_cow", 420); ("chunk_pool_hit", 6); ("cont_copy", 220); ("cont_share", 220); ("cow_words", 21820); ("eff_tbl_probe", 44); ("fiber_alloc", 1); ("fiber_free", 177); ("fiber_return", 177); ("handle", 1); ("instructions", 116684); ("malloc", 2); ("ops", 56948); ("perform", 44); ("resume", 220); ("ret", 5908); ("segment_check", 5080); ("stack_cache_lookup", 2); ("stack_cache_miss", 2); ("switch", 442); ] );
+    ( "nqueens5/res",
+      "Uncaught Invalid_argument 0",
+      [ ("call", 39); ("chunk_pool_hit", 1); ("eff_tbl_probe", 2); ("fiber_alloc", 1); ("fiber_free", 1); ("fiber_return", 1); ("handle", 1); ("instructions", 704); ("malloc", 2); ("ops", 392); ("page_commit", 2); ("page_fault", 2); ("perform", 2); ("raise", 1); ("resume", 2); ("ret", 33); ("stack_cache_lookup", 2); ("stack_cache_miss", 2); ("switch", 6); ] );
+    ( "nqueens5/res-ms",
+      "Done 10",
+      [ ("call", 5080); ("chunk_pool_hit", 176); ("cont_copy", 220); ("eff_tbl_probe", 44); ("fiber_alloc", 1); ("fiber_free", 177); ("fiber_return", 177); ("handle", 1); ("instructions", 151946); ("malloc", 46); ("ops", 56948); ("page_commit", 221); ("page_fault", 6); ("perform", 44); ("resume", 220); ("ret", 5908); ("stack_cache_hit", 176); ("stack_cache_lookup", 222); ("stack_cache_miss", 46); ("switch", 442); ("words_copied", 64060); ] );
+  ]
+
+let check_full_table (key, want_outcome, want) =
+  let pname, cname =
+    match String.split_on_char '/' key with
+    | [ p; c ] -> (p, c)
+    | _ -> Alcotest.failf "bad key %s" key
+  in
+  let p, needs_cfuns = List.assoc pname programs in
+  let cfuns = if needs_cfuns then F.Programs.standard_cfuns else [] in
+  let outcome, c = F.Machine.run ~cfuns (config_of cname) (F.Compile.compile p) in
+  Alcotest.(check string) (key ^ " outcome") want_outcome (outcome_to_string outcome);
+  Alcotest.(check (list (pair string int))) (key ^ " table") want (C.to_list c)
+
+let full_rendered_tables () = List.iter check_full_table full_tables
+
+let suite =
+  [
+    test "paper-model counters match the seed (Tables 1-2)" frozen_counters;
+    test "full rendered counter tables are unchanged" full_rendered_tables;
+  ]

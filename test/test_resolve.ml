@@ -261,11 +261,12 @@ let bounds_hold_on_builtins () =
           let config = F.Config.with_policy policy F.Config.mc in
           let _rt, _obs, counters = observe ~config r in
           List.iter
-            (fun (cname, b) ->
+            (fun (counter, b) ->
               match A.Costbound.finite b with
               | None -> ()
               | Some limit ->
                   incr finite_checked;
+                  let cname = F.Costs.counter_name counter in
                   let v = Counter.get counters cname in
                   if v > limit then
                     Alcotest.failf "%s under %s: %s measured %d > bound %d" name
@@ -420,8 +421,9 @@ let checker_catches_injected_violations () =
                ~red_zone:16)
         with
         | None -> ()
-        | Some (cname, b) ->
+        | Some (counter, b) ->
             found_bound := true;
+            let cname = F.Costs.counter_name counter in
             let limit = Option.get (A.Costbound.finite b) in
             Counter.add counters cname (limit + 1);
             (match bounds counters with
