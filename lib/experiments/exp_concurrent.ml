@@ -51,16 +51,18 @@ let finalisers ?(quick = false) () =
   let depth = if quick then 10 else 15 in
   let iters = if quick then 10_000 else 200_000 in
   let runs = if quick then 1 else 3 in
-  let t_plain =
-    H.Bench.median_ns ~runs (fun () -> Micro.Genbench.effect_sum ~depth)
+  (* Finalisers registered by earlier work (a previous finalised run,
+     or anything before this experiment) run at some later allocation,
+     whichever measurement that falls in.  A full major cycle first runs
+     them, so each measurement times only its own work. *)
+  let timed f =
+    Gc.full_major ();
+    H.Bench.median_ns ~runs f
   in
-  let t_fin =
-    H.Bench.median_ns ~runs (fun () -> Micro.Finaliser.effect_sum_finalised ~depth)
-  in
-  let t_rt_plain = H.Bench.median_ns ~runs (fun () -> Micro.Finaliser.roundtrip_plain iters) in
-  let t_rt_fin =
-    H.Bench.median_ns ~runs (fun () -> Micro.Finaliser.roundtrip_finalised iters)
-  in
+  let t_plain = timed (fun () -> Micro.Genbench.effect_sum ~depth) in
+  let t_fin = timed (fun () -> Micro.Finaliser.effect_sum_finalised ~depth) in
+  let t_rt_plain = timed (fun () -> Micro.Finaliser.roundtrip_plain iters) in
+  let t_rt_fin = timed (fun () -> Micro.Finaliser.roundtrip_finalised iters) in
   { generator_x = t_fin /. t_plain; roundtrip_x = t_rt_fin /. t_rt_plain }
 
 let report_generators ?quick () =
