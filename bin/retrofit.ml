@@ -27,6 +27,46 @@ let write_file path contents =
   output_string oc contents;
   close_out oc
 
+(* A converter that also rejects parsed values the simulation cannot
+   run with: a bad flag gets a usage line and a nonzero exit instead of
+   an uncaught exception or a silently different run. *)
+let checked base ~expect ok =
+  let parse s =
+    match Arg.conv_parser base s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "invalid value '%s', expected %s" s expect))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer base)
+
+let rate_arg ~default =
+  Arg.(
+    value
+    & opt (checked int ~expect:"a rate > 0" (fun r -> r > 0)) default
+    & info [ "rate" ] ~doc:"Offered load (req/s).")
+
+let duration_arg ~default =
+  Arg.(
+    value
+    & opt (checked int ~expect:"a duration >= 0" (fun d -> d >= 0)) default
+    & info [ "duration" ] ~doc:"Duration (ms).")
+
+(* Fault intensity: a multiplier over the default fault plan, whose
+   scaled rates must still sum to at most 1. *)
+let faults_arg ~default ~doc =
+  let ok f =
+    let module F = Retrofit_httpsim.Faults in
+    Float.is_finite f && f >= 0.0 && F.total (F.scale f F.default) <= 1.0
+  in
+  Arg.(
+    value
+    & opt
+        (checked float
+           ~expect:"a finite intensity >= 0 whose scaled fault rates sum to at most 1"
+           ok)
+        default
+    & info [ "faults" ] ~doc)
+
 (* ------------------------------------------------------------------ *)
 (* interp *)
 
@@ -253,20 +293,15 @@ let websim_cmd =
         | None -> ());
         0
   in
-  let rate =
-    Arg.(value & opt int 20_000 & info [ "rate" ] ~doc:"Offered load (req/s).")
-  in
-  let duration =
-    Arg.(value & opt int 2_000 & info [ "duration" ] ~doc:"Duration (ms).")
-  in
+  let rate = rate_arg ~default:20_000 in
+  let duration = duration_arg ~default:2_000 in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Trace/fault seed.") in
   let faults =
-    Arg.(
-      value & opt float 0.0
-      & info [ "faults" ]
-          ~doc:
-            "Fault intensity (multiplier over the default fault plan); 0 \
-             disables injection and runs the plain engine.")
+    faults_arg ~default:0.0
+      ~doc:
+        "Fault intensity (multiplier over the default fault plan); 0 \
+         disables injection and runs the Fig 6 measurement, with no \
+         deadlines, retries or admission cap."
   in
   let chaos =
     Arg.(
@@ -507,18 +542,12 @@ let causal_cmd =
         | None -> ());
         0
   in
-  let rate =
-    Arg.(value & opt int 20_000 & info [ "rate" ] ~doc:"Offered load (req/s).")
-  in
-  let duration =
-    Arg.(value & opt int 300 & info [ "duration" ] ~doc:"Duration (ms).")
-  in
+  let rate = rate_arg ~default:20_000 in
+  let duration = duration_arg ~default:300 in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"Workload seed.") in
   let faults =
-    Arg.(
-      value & opt float 0.5
-      & info [ "faults" ]
-          ~doc:"Fault intensity (multiplier over the default fault plan).")
+    faults_arg ~default:0.5
+      ~doc:"Fault intensity (multiplier over the default fault plan)."
   in
   let queue_cap =
     Arg.(

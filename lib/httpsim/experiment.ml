@@ -10,13 +10,12 @@ let default_rates = [ 5_000; 10_000; 15_000; 20_000; 25_000; 30_000; 35_000; 40_
 let fig6a ?(duration_ms = 2_000) () =
   List.map
     (fun (model, process) ->
-      let outcomes =
-        Loadgen.throughput_sweep ~model ~process ~rates:default_rates ~duration_ms ()
-      in
       ( model.Server.name,
         List.map
-          (fun (o : Loadgen.outcome) -> (o.offered_rps, o.achieved_rps))
-          outcomes ))
+          (fun rate_rps ->
+            let o = Loadgen.run ~model ~process ~rate_rps ~duration_ms () in
+            (o.offered_rps, o.achieved_rps))
+          default_rates ))
     servers
 
 let fig6b ?(rate_rps = 20_000) ?(duration_ms = 4_000) () =

@@ -14,16 +14,6 @@ type fault_account = {
   to_absorbed : int;
 }
 
-let zero_faults =
-  {
-    injected = 0;
-    to_malformed = 0;
-    to_retried = 0;
-    to_timeout = 0;
-    to_server_error = 0;
-    to_absorbed = 0;
-  }
-
 type resilience = {
   deadline_ns : int;
   max_attempts : int;
@@ -107,106 +97,10 @@ let publish_metrics (o : outcome) hist =
   end
 
 (* ------------------------------------------------------------------ *)
-(* The original zero-fault engine, unchanged: this is the Fig 6 code
-   path and its numbers are pinned bit-for-bit by the tests. *)
-
-let run_plain ~seed ~connections ~model ~process ~rate_rps ~duration_ms =
-  let rng = Rng.create seed in
-  let events =
-    Netsim.poisson_rate ~rng ~connections ~rate_rps ~duration_ms ~target:"/" ()
-  in
-  let hist = Histogram.create ~max_value:60_000_000_000 () in
-  let cpu_free = ref 0 in
-  let alloc_since_gc = ref 0 in
-  let gc_pauses = ref 0 in
-  let errors = ref 0 in
-  let completed = ref 0 in
-  let last_completion = ref 0 in
-  List.iteri
-    (fun req (ev : Netsim.event) ->
-      (* Really execute the server's code path and check the reply. *)
-      let reply = process ev.raw in
-      let status =
-        match Http.parse_response reply with
-        | Ok (resp, _) -> resp.Http.status
-        | Error _ -> 500
-      in
-      if status <> 200 then incr errors;
-      (* Virtual timing: single CPU, FIFO, with stop-the-world GC pauses
-         driven by the machinery's allocation rate. *)
-      alloc_since_gc := !alloc_since_gc + model.Server.alloc_per_request;
-      let gc_pause =
-        if !alloc_since_gc >= model.Server.gc_threshold then begin
-          alloc_since_gc := 0;
-          incr gc_pauses;
-          model.Server.gc_pause_ns
-        end
-        else 0
-      in
-      (* Exponential service-time variance models cache misses and
-         allocator noise; the occasional slow request models page-cache
-         misses on the served file. *)
-      let noise =
-        int_of_float
-          (Rng.exponential rng ~mean:(float_of_int model.Server.service_ns /. 5.0))
-        + (if Rng.int rng 100 = 0 then model.Server.service_ns else 0)
-      in
-      let cost =
-        model.Server.dispatch_overhead_ns + model.Server.parse_ns
-        + model.Server.service_ns + noise + gc_pause
-      in
-      let start = max ev.arrival_ns !cpu_free in
-      let finish = start + cost in
-      cpu_free := finish;
-      last_completion := finish;
-      incr completed;
-      if Trace.on () then begin
-        Trace.emit ~ts:ev.arrival_ns (Tev.Req_arrival { req; conn = ev.conn_id });
-        Trace.emit ~ts:ev.arrival_ns (Tev.Req_enqueue { req; attempt = 1 });
-        if gc_pause > 0 then
-          Trace.emit ~ts:(start + gc_pause)
-            (Tev.Gc_pause { start; dur = gc_pause });
-        Trace.emit ~ts:finish
-          (Tev.Request
-             { req; conn = ev.conn_id; attempt = 1; status; start; finish });
-        Trace.emit ~ts:finish
-          (Tev.Req_done
-             { req; disposition = (if status = 200 then "ok" else "error") })
-      end;
-      Histogram.record hist (finish - ev.arrival_ns))
-    events;
-  let span_ns = max 1 !last_completion in
-  let out =
-    {
-    model_name = model.Server.name;
-    offered_rps = rate_rps;
-    achieved_rps = float_of_int !completed *. 1e9 /. float_of_int span_ns;
-    goodput_rps = float_of_int !completed *. 1e9 /. float_of_int span_ns;
-    total_requests = !completed;
-    completed = !completed;
-    errors = !errors;
-    timeouts = 0;
-    retries = 0;
-    shed = 0;
-    malformed = 0;
-    server_errors = 0;
-    faults = zero_faults;
-    gc_pauses = !gc_pauses;
-    mean_ns = Histogram.mean hist;
-    p50_ns = Histogram.value_at_percentile hist 50.0;
-    p90_ns = Histogram.value_at_percentile hist 90.0;
-    p99_ns = Histogram.value_at_percentile hist 99.0;
-      p999_ns = Histogram.value_at_percentile hist 99.9;
-      max_ns = Histogram.max_recorded hist;
-    }
-  in
-  publish_metrics out hist;
-  out
-
-(* ------------------------------------------------------------------ *)
-(* The resilient engine: the same virtual single-CPU FIFO world, driven
-   through a time-ordered queue so client retries merge into the
-   arrival stream.
+(* The engine: a virtual single-CPU FIFO world.  First attempts are
+   served in arrival order; wire-stalled first attempts and client
+   retries wait in a time-ordered queue and merge back into that
+   stream.
 
    Request dispositions are exclusive: every request ends exactly once
    as completed (200 within deadline), malformed (its damaged bytes
@@ -233,40 +127,52 @@ type attempt = {
   fault : Faults.fault option;
 }
 
-let run_resilient ~seed ~connections ~rates ~resilience ~model ~process ~rate_rps
-    ~duration_ms =
+let run ?(seed = 42) ?(connections = 1000) ?faults ?resilience ~model ~process
+    ~rate_rps ~duration_ms () =
+  let rates = Option.value faults ~default:Faults.none in
+  let resilience =
+    match (faults, resilience) with
+    | _, Some r -> r
+    | Some _, None -> default_resilience
+    | None, None -> lenient_resilience
+  in
   let rng = Rng.create seed in
   let events =
     Netsim.poisson_rate ~rng ~connections ~rate_rps ~duration_ms ~target:"/" ()
   in
   let plan = Faults.plan ~seed ~rates events in
   let retry_rng = Rng.create (seed lxor 0x2545F491) in
+  let first_attempt req (inj : Faults.injected) =
+    let ev = inj.event in
+    {
+      req;
+      attempt_no = 1;
+      conn = ev.conn_id;
+      orig_arrival = ev.arrival_ns;
+      deadline = ev.arrival_ns + resilience.deadline_ns;
+      clean_raw = ev.raw;
+      sent_raw =
+        (match inj.fault with Some f -> Faults.damaged_raw ev.raw f | None -> ev.raw);
+      fault = inj.fault;
+    }
+  in
+  (* Stalled first attempts are queued up front, ahead of any retry, so
+     the queue's insertion-order tie-break serves them by request
+     index; on-time first attempts stay in [plan]. *)
   let q : attempt Pqueue.t = Pqueue.create () in
   List.iteri
     (fun req (inj : Faults.injected) ->
-      let ev = inj.Faults.event in
-      let stall = match inj.fault with Some (Faults.Stall d) -> d | _ -> 0 in
-      let sent_raw =
-        match inj.fault with
-        | Some f -> Faults.damaged_raw ev.raw f
-        | None -> ev.raw
-      in
-      (match inj.fault with
-      | Some f when Trace.on () ->
-          Trace.emit ~ts:ev.arrival_ns
-            (Tev.Fault_injected { conn = ev.conn_id; kind = Faults.fault_label f })
-      | _ -> ());
-      Pqueue.add q ~priority:(ev.arrival_ns + stall)
-        {
-          req;
-          attempt_no = 1;
-          conn = ev.conn_id;
-          orig_arrival = ev.arrival_ns;
-          deadline = ev.arrival_ns + resilience.deadline_ns;
-          clean_raw = ev.raw;
-          sent_raw;
-          fault = inj.fault;
-        })
+      match inj.fault with
+      | None -> ()
+      | Some f ->
+          let ev = inj.event in
+          if Trace.on () then
+            Trace.emit ~ts:ev.arrival_ns
+              (Tev.Fault_injected { conn = ev.conn_id; kind = Faults.fault_label f });
+          (match f with
+          | Faults.Stall d ->
+              Pqueue.add q ~priority:(ev.arrival_ns + d) (first_attempt req inj)
+          | _ -> ()))
     plan;
   let hist = Histogram.create ~max_value:60_000_000_000 () in
   let cpu_free = ref 0 in
@@ -410,8 +316,11 @@ let run_resilient ~seed ~connections ~rates ~resilience ~model ~process ~rate_rp
           | Ok (resp, _) -> resp.Http.status
           | Error _ -> 500
         in
-        (* Identical cost-model draws to the plain engine, so the
-           zero-fault resilient run reproduces its numbers exactly. *)
+        (* Virtual timing: stop-the-world GC pauses driven by the
+           machinery's allocation rate; exponential service-time
+           variance models cache misses and allocator noise, the
+           occasional slow request page-cache misses on the served
+           file. *)
         alloc_since_gc := !alloc_since_gc + model.Server.alloc_per_request;
         let gc_pause =
           if !alloc_since_gc >= model.Server.gc_threshold then begin
@@ -503,79 +412,95 @@ let run_resilient ~seed ~connections ~rates ~resilience ~model ~process ~rate_rp
       end
     end
   in
-  let rec drain () =
-    match Pqueue.pop q with
-    | None -> ()
-    | Some (now, a) ->
-        (* Lifecycle markers are emitted here, at dequeue, rather than
-           when the plan is built: ring order then keeps each request's
-           span openings next to its other events, so an undersized
-           ring truncates whole requests instead of evicting every
-           arrival first.  Timestamps are still the true instants: the
-           first attempt's dequeue time is arrival + wire stall. *)
-        if Trace.on () && a.attempt_no = 1 then begin
-          Trace.emit ~ts:a.orig_arrival
-            (Tev.Req_arrival { req = a.req; conn = a.conn });
-          if now > a.orig_arrival then
-            Trace.emit ~ts:now
-              (Tev.Req_stall { req = a.req; dur = now - a.orig_arrival })
-        end;
-        (match a.fault with
-        | Some Faults.Drop ->
-            (* The connection died on the wire; the client notices after
-               its detection delay and retries. *)
-            let detect = now + resilience.drop_detect_ns in
-            if Trace.on () then
-              Trace.emit ~ts:detect
-                (Tev.Req_drop
-                   {
-                     req = a.req;
-                     attempt = a.attempt_no;
-                     dur = resilience.drop_detect_ns;
-                   });
-            if schedule_retry ~now:detect a then incr fa_retried
-            else begin
-              incr timeouts;
-              incr fa_timeout;
-              if Trace.on () then
-                Trace.emit ~ts:detect
-                  (Tev.Req_done { req = a.req; disposition = "timeout" })
-            end
-        | _ -> process_attempt now a);
-        drain ()
+  let dispatch now a =
+    (* Lifecycle markers are emitted here, at dispatch, rather than
+       when the plan is built: ring order then keeps each request's
+       span openings next to its other events, so an undersized ring
+       truncates whole requests instead of evicting every arrival
+       first.  Timestamps are still the true instants: a first
+       attempt's dispatch time is arrival + wire stall. *)
+    if Trace.on () && a.attempt_no = 1 then begin
+      Trace.emit ~ts:a.orig_arrival (Tev.Req_arrival { req = a.req; conn = a.conn });
+      if now > a.orig_arrival then
+        Trace.emit ~ts:now (Tev.Req_stall { req = a.req; dur = now - a.orig_arrival })
+    end;
+    match a.fault with
+    | Some Faults.Drop ->
+        (* The connection died on the wire; the client notices after
+           its detection delay and retries. *)
+        let detect = now + resilience.drop_detect_ns in
+        if Trace.on () then
+          Trace.emit ~ts:detect
+            (Tev.Req_drop
+               { req = a.req; attempt = a.attempt_no; dur = resilience.drop_detect_ns });
+        if schedule_retry ~now:detect a then incr fa_retried
+        else begin
+          incr timeouts;
+          incr fa_timeout;
+          if Trace.on () then
+            Trace.emit ~ts:detect (Tev.Req_done { req = a.req; disposition = "timeout" })
+        end
+    | _ -> process_attempt now a
   in
-  drain ();
+  (* Serve whichever is due first: the next on-time first attempt in
+     [plan] (arrivals come in time order) or the queue's head.  Ties go
+     to first attempts by request index, then to retries in the order
+     they were scheduled. *)
+  let rec drain req plan =
+    match plan with
+    | { Faults.fault = Some (Faults.Stall _); _ } :: rest -> drain (req + 1) rest
+    | (inj : Faults.injected) :: rest
+      when match Pqueue.peek q with
+           | None -> true
+           | Some (t, a) ->
+               let arrival = inj.event.arrival_ns in
+               arrival < t || (arrival = t && (a.attempt_no > 1 || req < a.req)) ->
+        dispatch inj.event.arrival_ns (first_attempt req inj);
+        drain (req + 1) rest
+    | _ -> (
+        match Pqueue.pop q with
+        | None -> ()
+        | Some (now, a) ->
+            dispatch now a;
+            drain req plan)
+  in
+  drain 0 plan;
   let span_ns = max 1 !last_completion in
   let goodput = float_of_int !completed *. 1e9 /. float_of_int span_ns in
+  (* A run with nothing completed (no arrivals, or every request lost)
+     reads 0 everywhere, as [mean_ns] and [max_ns] already do. *)
+  let percentile p =
+    if Histogram.count hist = 0 then 0 else Histogram.value_at_percentile hist p
+  in
   let out =
     {
-    model_name = model.Server.name;
-    offered_rps = rate_rps;
-    achieved_rps = goodput;
-    goodput_rps = goodput;
-    total_requests = List.length events;
-    completed = !completed;
-    errors = !timeouts + !malformed;
-    timeouts = !timeouts;
-    retries = !retries;
-    shed = !shed;
-    malformed = !malformed;
-    server_errors = !server_errors;
-    faults =
-      {
-        injected = Faults.injected_count plan;
-        to_malformed = !fa_malformed;
-        to_retried = !fa_retried;
-        to_timeout = !fa_timeout;
-        to_server_error = !fa_server_error;
-        to_absorbed = !fa_absorbed;
-      };
-    gc_pauses = !gc_pauses;
-    mean_ns = Histogram.mean hist;
-    p50_ns = Histogram.value_at_percentile hist 50.0;
-    p90_ns = Histogram.value_at_percentile hist 90.0;
-    p99_ns = Histogram.value_at_percentile hist 99.0;
-      p999_ns = Histogram.value_at_percentile hist 99.9;
+      model_name = model.Server.name;
+      offered_rps = rate_rps;
+      achieved_rps = goodput;
+      goodput_rps = goodput;
+      total_requests = List.length events;
+      completed = !completed;
+      errors = !timeouts + !malformed;
+      timeouts = !timeouts;
+      retries = !retries;
+      shed = !shed;
+      malformed = !malformed;
+      server_errors = !server_errors;
+      faults =
+        {
+          injected = Faults.injected_count plan;
+          to_malformed = !fa_malformed;
+          to_retried = !fa_retried;
+          to_timeout = !fa_timeout;
+          to_server_error = !fa_server_error;
+          to_absorbed = !fa_absorbed;
+        };
+      gc_pauses = !gc_pauses;
+      mean_ns = Histogram.mean hist;
+      p50_ns = percentile 50.0;
+      p90_ns = percentile 90.0;
+      p99_ns = percentile 99.0;
+      p999_ns = percentile 99.9;
       max_ns = Histogram.max_recorded hist;
     }
   in
@@ -585,21 +510,3 @@ let run_resilient ~seed ~connections ~rates ~resilience ~model ~process ~rate_rp
       ~labels:[ ("model", model.Server.name) ]
       "httpsim_inflight_peak" !max_inflight;
   out
-
-let run ?(seed = 42) ?(connections = 1000) ?faults ?resilience ~model ~process
-    ~rate_rps ~duration_ms () =
-  match (faults, resilience) with
-  | None, None -> run_plain ~seed ~connections ~model ~process ~rate_rps ~duration_ms
-  | _ ->
-      let rates = Option.value faults ~default:Faults.none in
-      let resilience = Option.value resilience ~default:default_resilience in
-      run_resilient ~seed ~connections ~rates ~resilience ~model ~process ~rate_rps
-        ~duration_ms
-
-let throughput_sweep ?seed ?connections ?faults ?resilience ~model ~process ~rates
-    ~duration_ms () =
-  List.map
-    (fun rate_rps ->
-      run ?seed ?connections ?faults ?resilience ~model ~process ~rate_rps
-        ~duration_ms ())
-    rates

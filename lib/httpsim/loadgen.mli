@@ -1,5 +1,5 @@
-(** The wrk2-style measurement harness (Fig 6), with an optional
-    resilience layer.
+(** The wrk2-style measurement harness (Fig 6), with its resilience
+    layer.
 
     Drives a server (a cost model plus a real [process_raw] code path)
     with an open-loop constant-rate workload and records
@@ -8,14 +8,14 @@
     so a backed-up server accrues queueing delay instead of silently
     slowing the load down.
 
-    When {!run} is given a fault plan ([?faults]) or a resilience
-    policy ([?resilience]), it switches to the resilient engine: the
-    same virtual single-CPU world, plus per-request deadlines,
-    client-side retry with exponential backoff and jitter, admission
-    control (shedding to 503 past a queue-depth cap), and deadline
-    propagation (expired requests answered 408 without paying
-    service time).  With neither option the original engine runs,
-    bit-for-bit. *)
+    There is one engine: a virtual single-CPU FIFO world with
+    per-request deadlines, client-side retry with exponential backoff
+    and jitter, admission control (shedding to 503 past a queue-depth
+    cap), and deadline propagation (expired requests answered 408
+    without paying service time).  A fault plan ([?faults]) perturbs
+    the arrivals; a resilience policy ([?resilience]) sets the
+    deadlines, retries and cap.  The Fig 6 runs use neither: no faults
+    and {!lenient_resilience}. *)
 
 type fault_account = {
   injected : int;  (** faults tagged onto the trace by {!Faults.plan} *)
@@ -28,8 +28,6 @@ type fault_account = {
 (** Where each injected fault ended up.  Attribution is exclusive:
     [injected = to_malformed + to_retried + to_timeout +
     to_server_error + to_absorbed] (a tested invariant). *)
-
-val zero_faults : fault_account
 
 type resilience = {
   deadline_ns : int;  (** end-to-end budget from first scheduled arrival *)
@@ -45,9 +43,9 @@ val default_resilience : resilience
     0.2 ms drop detection, queue cap 512. *)
 
 val lenient_resilience : resilience
-(** Effectively-infinite deadline and cap, no retries: under
-    {!Faults.none} this makes the resilient engine reproduce the plain
-    engine's numbers exactly (a tested property). *)
+(** Effectively-infinite deadline and cap, no retries: the policy of
+    a {!run} without options.  Under {!Faults.none} every request is
+    then served and completes. *)
 
 type outcome = {
   model_name : string;
@@ -55,10 +53,10 @@ type outcome = {
   achieved_rps : float;
   goodput_rps : float;
       (** 200s delivered within deadline per second of virtual time;
-          equals [achieved_rps] on the plain path *)
+          always equal to [achieved_rps] *)
   total_requests : int;  (** distinct requests in the trace *)
   completed : int;  (** 200 within deadline *)
-  errors : int;  (** = [timeouts + malformed] on the resilient path *)
+  errors : int;  (** = [timeouts + malformed] *)
   timeouts : int;  (** deadline expired or retry budget exhausted *)
   retries : int;  (** retry attempts issued (event count) *)
   shed : int;  (** 503s from admission control (event count) *)
@@ -74,9 +72,9 @@ type outcome = {
   max_ns : int;
 }
 (** Request dispositions are exclusive and exhaustive:
-    [completed + timeouts + malformed = total_requests] on the
-    resilient path (a tested invariant).  [shed], [server_errors] and
-    [retries] count events along the way, not final dispositions. *)
+    [completed + timeouts + malformed = total_requests] (a tested
+    invariant).  [shed], [server_errors] and [retries] count events
+    along the way, not final dispositions. *)
 
 val run :
   ?seed:int ->
@@ -94,19 +92,7 @@ val run :
     [process]; its virtual completion time comes from the model's cost
     constants and a single-CPU queue with GC pauses.
 
-    With neither [?faults] nor [?resilience] the original zero-fault
-    engine runs unchanged.  Supplying either switches to the resilient
-    engine ([?faults] defaults to {!Faults.none}, [?resilience] to
-    {!default_resilience}). *)
-
-val throughput_sweep :
-  ?seed:int ->
-  ?connections:int ->
-  ?faults:Faults.rates ->
-  ?resilience:resilience ->
-  model:Server.model ->
-  process:(string -> string) ->
-  rates:int list ->
-  duration_ms:int ->
-  unit ->
-  outcome list
+    [?faults] defaults to {!Faults.none}.  [?resilience] defaults to
+    {!default_resilience} when [?faults] is given and to
+    {!lenient_resilience} when it is not, so a run without options is
+    the zero-fault Fig 6 measurement. *)

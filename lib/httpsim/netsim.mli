@@ -11,21 +11,6 @@ type event = { arrival_ns : int; conn_id : int; raw : string }
 val request_for : target:string -> conn_id:int -> string
 (** The raw bytes of one GET request. *)
 
-val constant_rate :
-  ?jitter_ns:int ->
-  rng:Retrofit_util.Rng.t ->
-  connections:int ->
-  rate_rps:int ->
-  duration_ms:int ->
-  target:string ->
-  unit ->
-  event list
-(** Events in non-decreasing arrival order (ties keep issue order).
-    Inter-arrival time is exactly [1e9 / rate_rps] ns plus uniform
-    jitter in [\[0, jitter_ns\]] (default 0) — jitter beyond one
-    interval is re-sorted so the trace stays monotonic; connections are
-    used round-robin. *)
-
 val poisson_rate :
   rng:Retrofit_util.Rng.t ->
   connections:int ->
@@ -36,4 +21,10 @@ val poisson_rate :
   event list
 (** Poisson arrivals at the given mean rate — the aggregate of many
     independent keep-alive connections, and what gives the latency
-    distribution its queueing tail. *)
+    distribution its queueing tail.  Events come in non-decreasing
+    arrival order (each is the previous one plus an exponential gap);
+    {!Loadgen} serves first attempts straight from the list and relies
+    on it.  Connections are used round-robin.
+
+    @raise Invalid_argument unless [connections > 0], [rate_rps > 0]
+    and [duration_ms >= 0]. *)

@@ -113,45 +113,22 @@ let prop_request_roundtrip =
 
 (* ---------------- Netsim ---------------- *)
 
-let netsim_constant_rate () =
-  let rng = Retrofit_util.Rng.create 1 in
-  let events =
-    H.Netsim.constant_rate ~rng ~connections:4 ~rate_rps:1000 ~duration_ms:100
-      ~target:"/" ()
-  in
-  Alcotest.(check int) "count" 100 (List.length events);
-  let sorted =
-    List.for_all2
-      (fun (a : H.Netsim.event) b -> a.arrival_ns <= b.H.Netsim.arrival_ns)
-      (List.filteri (fun i _ -> i < 99) events)
-      (List.tl events)
-  in
-  Alcotest.(check bool) "sorted" true sorted;
-  let conns = List.map (fun (e : H.Netsim.event) -> e.conn_id) events in
-  Alcotest.(check bool) "round robin" true
-    (List.filteri (fun i _ -> i < 4) conns = [ 0; 1; 2; 3 ])
-
-(* Regression: jitter larger than the nominal interval used to emit a
-   non-monotonic trace (event i+1 before event i), breaking Loadgen's
-   FIFO-by-arrival queueing model. *)
-let netsim_jitter_monotonic () =
-  let rng = Retrofit_util.Rng.create 5 in
-  let interval_ns = 1_000_000_000 / 1000 in
-  let events =
-    H.Netsim.constant_rate ~jitter_ns:(5 * interval_ns) ~rng ~connections:4
-      ~rate_rps:1000 ~duration_ms:100 ~target:"/" ()
-  in
-  Alcotest.(check int) "count unchanged by sorting" 100 (List.length events);
-  let rec check_sorted = function
-    | (a : H.Netsim.event) :: (b :: _ as rest) ->
-        Alcotest.(check bool)
-          (Printf.sprintf "monotonic %d <= %d" a.arrival_ns b.H.Netsim.arrival_ns)
-          true
-          (a.arrival_ns <= b.H.Netsim.arrival_ns);
-        check_sorted rest
-    | _ -> ()
-  in
-  check_sorted events
+(* The engine serves on-time first attempts straight from this list,
+   so it must come in time order for any seed, rate and duration. *)
+let prop_poisson_ordered =
+  QCheck.Test.make ~name:"poisson arrivals in time order" ~count:100
+    QCheck.(triple small_nat (int_range 1 100_000) (int_range 0 50))
+    (fun (seed, rate_rps, duration_ms) ->
+      let events =
+        H.Netsim.poisson_rate ~rng:(Retrofit_util.Rng.create seed) ~connections:3
+          ~rate_rps ~duration_ms ~target:"/" ()
+      in
+      let rec ordered = function
+        | (x : H.Netsim.event) :: (y :: _ as rest) ->
+            x.arrival_ns <= y.H.Netsim.arrival_ns && ordered rest
+        | _ -> true
+      in
+      ordered events)
 
 let netsim_poisson () =
   let rng = Retrofit_util.Rng.create 2 in
@@ -389,7 +366,7 @@ let faults_damage_is_rejected_not_fatal () =
       done)
     H.Experiment.servers
 
-(* ---------------- Resilient engine ---------------- *)
+(* ---------------- Loadgen engine ---------------- *)
 
 (* Frozen pins: the zero-fault default path is the Fig 6 machinery and
    must stay bit-for-bit across refactors (same seed, same numbers). *)
@@ -422,27 +399,102 @@ let loadgen_frozen_counters () =
   Alcotest.(check int) "mc 25k completed" 7558 over.completed;
   Alcotest.(check int) "mc 25k p99" 405248 over.p99_ns
 
-(* With no faults and a lenient policy, the resilient engine must
-   reproduce the plain engine exactly: same RNG draw order, same FIFO
-   service order, same histogram. *)
-let resilient_zero_fault_equivalence () =
-  List.iter
-    (fun (model, process) ->
-      let plain = H.Loadgen.run ~model ~process ~rate_rps:10_000 ~duration_ms:200 () in
-      let res =
-        H.Loadgen.run ~faults:H.Faults.none ~resilience:H.Loadgen.lenient_resilience
-          ~model ~process ~rate_rps:10_000 ~duration_ms:200 ()
-      in
-      let name = model.H.Server.name in
-      Alcotest.(check int) (name ^ " completed") plain.H.Loadgen.completed res.H.Loadgen.completed;
-      Alcotest.(check int) (name ^ " errors") plain.errors res.errors;
-      Alcotest.(check int) (name ^ " gc") plain.gc_pauses res.gc_pauses;
-      Alcotest.(check int) (name ^ " p50") plain.p50_ns res.p50_ns;
-      Alcotest.(check int) (name ^ " p99") plain.p99_ns res.p99_ns;
-      Alcotest.(check int) (name ^ " p999") plain.p999_ns res.p999_ns;
-      Alcotest.(check int) (name ^ " max") plain.max_ns res.max_ns;
-      Alcotest.(check (float 0.0001)) (name ^ " achieved") plain.achieved_rps res.achieved_rps)
-    H.Experiment.servers
+(* Every field of the no-option outcome, for each server below and far
+   above the plateau; recorded before the zero-fault Fig 6 path was
+   folded into the one engine. *)
+let outcome_line (o : H.Loadgen.outcome) =
+  let f = o.faults in
+  Printf.sprintf
+    "%s offered=%d achieved=%h goodput=%h total=%d completed=%d errors=%d \
+     timeouts=%d retries=%d shed=%d malformed=%d server_errors=%d \
+     faults=%d/%d/%d/%d/%d/%d gc=%d mean=%h p50=%d p90=%d p99=%d p999=%d max=%d"
+    o.model_name o.offered_rps o.achieved_rps o.goodput_rps o.total_requests
+    o.completed o.errors o.timeouts o.retries o.shed o.malformed o.server_errors
+    f.H.Loadgen.injected f.to_malformed f.to_retried f.to_timeout f.to_server_error
+    f.to_absorbed o.gc_pauses o.mean_ns o.p50_ns o.p90_ns o.p99_ns o.p999_ns o.max_ns
+
+let loadgen_outcomes_pinned () =
+  let expected =
+    [
+      "mc offered=10000 achieved=0x1.3b1ec5571c704p+13 goodput=0x1.3b1ec5571c704p+13 \
+       total=2017 completed=2017 errors=0 timeouts=0 retries=0 shed=0 malformed=0 \
+       server_errors=0 faults=0/0/0/0/0/0 gc=0 mean=0x1.4b0c2f36f4f53p+15 p50=35008 \
+       p90=66560 p99=101760 p999=138880 max=150185";
+      "lwt offered=10000 achieved=0x1.3b1e3f1ecec9cp+13 goodput=0x1.3b1e3f1ecec9cp+13 \
+       total=2017 completed=2017 errors=0 timeouts=0 retries=0 shed=0 malformed=0 \
+       server_errors=0 faults=0/0/0/0/0/0 gc=0 mean=0x1.5bc1511a45ce8p+15 p50=36640 \
+       p90=70400 p99=107968 p999=149248 max=159285";
+      "go offered=10000 achieved=0x1.3b1e8764743dp+13 goodput=0x1.3b1e8764743dp+13 \
+       total=2017 completed=2017 errors=0 timeouts=0 retries=0 shed=0 malformed=0 \
+       server_errors=0 faults=0/0/0/0/0/0 gc=0 mean=0x1.52b91d519c3d7p+15 p50=35680 \
+       p90=68352 p99=104768 p999=143616 max=154385";
+      "mc offered=60000 achieved=0x1.d2b56ffc6a8fcp+14 goodput=0x1.d2b56ffc6a8fcp+14 \
+       total=12107 completed=12107 errors=0 timeouts=0 retries=0 shed=0 malformed=0 \
+       server_errors=0 faults=0/0/0/0/0/0 gc=1 mean=0x1.8624ee0d523b7p+26 \
+       p50=101974016 p90=184418304 p99=203292672 p999=204996608 max=205344947";
+      "lwt offered=60000 achieved=0x1.bf32c263fa3a9p+14 goodput=0x1.bf32c263fa3a9p+14 \
+       total=12107 completed=12107 errors=0 timeouts=0 retries=0 shed=0 malformed=0 \
+       server_errors=0 faults=0/0/0/0/0/0 gc=5 mean=0x1.a7ff7c7ec8bfbp+26 \
+       p50=110755840 p90=200540160 p99=220856320 p999=222691328 max=223028847";
+      "go offered=60000 achieved=0x1.c9a99e08efa95p+14 goodput=0x1.c9a99e08efa95p+14 \
+       total=12107 completed=12107 errors=0 timeouts=0 retries=0 shed=0 malformed=0 \
+       server_errors=0 faults=0/0/0/0/0/0 gc=3 mean=0x1.95748cc98d5a6p+26 \
+       p50=105971712 p90=191758336 p99=211288064 p999=212992000 max=213356747";
+    ]
+  in
+  let got =
+    List.concat_map
+      (fun rate_rps ->
+        List.map
+          (fun (model, process) ->
+            outcome_line (H.Loadgen.run ~model ~process ~rate_rps ~duration_ms:200 ()))
+          H.Experiment.servers)
+      [ 10_000; 60_000 ]
+  in
+  Alcotest.(check (list string)) "outcomes" expected got
+
+(* A run without arrivals completes nothing and reads 0 rather than
+   raising on an empty histogram. *)
+let loadgen_empty_run () =
+  let o =
+    H.Loadgen.run ~model:H.Server.mc ~process:H.Server_effects.process_raw
+      ~rate_rps:10_000 ~duration_ms:0 ()
+  in
+  Alcotest.(check (list int)) "counts and percentiles" [ 0; 0; 0; 0; 0; 0; 0 ]
+    [ o.total_requests; o.completed; o.p50_ns; o.p90_ns; o.p99_ns; o.p999_ns; o.max_ns ]
+
+(* Eventlogs of seed-42 faulted runs, digested and recorded before the
+   zero-fault Fig 6 path was folded into the one engine.  Stalled first
+   attempts and retries merge into the arrival stream in one fixed
+   order: earlier time first; at equal times first attempts by request
+   index, then retries in scheduling order.  The default plan at
+   intensity 0.5 moves an event under any coarser reordering; the
+   second run (arrivals ~200 ns apart, retries sent at once) produces
+   exact-time ties between queued and on-time attempts, so it also
+   pins the tie-break. *)
+let faulted_trace_pinned () =
+  let digest run =
+    let _, ring = Retrofit_trace.Trace.scoped ~capacity:(1 lsl 17) run in
+    Alcotest.(check int) "nothing dropped" 0 (Retrofit_trace.Trace.dropped ring);
+    Digest.to_hex (Digest.string (Retrofit_trace.Export.of_trace_chrome ring))
+  in
+  Alcotest.(check string) "default plan at 0.5" "5e8ee74f646100127354f27dbe59c764"
+    (digest (fun () ->
+         List.iter
+           (fun (model, process) ->
+             ignore
+               (H.Loadgen.run ~seed:42
+                  ~faults:(H.Faults.scale 0.5 H.Faults.default)
+                  ~model ~process ~rate_rps:20_000 ~duration_ms:200 ()))
+           H.Experiment.servers));
+  Alcotest.(check string) "exact-time ties" "027365f28e3c0ecf6f665af60fa4d80e"
+    (digest (fun () ->
+         ignore
+           (H.Loadgen.run ~seed:42
+              ~faults:{ H.Faults.none with drop = 0.3; stall = 0.3 }
+              ~resilience:{ H.Loadgen.lenient_resilience with max_attempts = 3 }
+              ~model:H.Server.mc ~process:H.Server_effects.process_raw
+              ~rate_rps:5_000_000 ~duration_ms:1 ())))
 
 let check_taxonomy name (o : H.Loadgen.outcome) =
   Alcotest.(check int)
@@ -610,8 +662,7 @@ let suite =
     test "loadgen request roundtrip" request_roundtrip;
     test "reason phrases" reason_phrases;
     QCheck_alcotest.to_alcotest prop_request_roundtrip;
-    test "netsim constant rate" netsim_constant_rate;
-    test "netsim jitter stays monotonic" netsim_jitter_monotonic;
+    QCheck_alcotest.to_alcotest prop_poisson_ordered;
     test "netsim poisson" netsim_poisson;
     test "all servers serve the page" servers_serve;
     test "servers handle 404/405/400" servers_404_405;
@@ -626,7 +677,9 @@ let suite =
     test "fault plans are deterministic" faults_plan_deterministic;
     test "damaged requests rejected, crashes barriered" faults_damage_is_rejected_not_fatal;
     test "loadgen frozen counters" loadgen_frozen_counters;
-    test "resilient engine matches plain at zero faults" resilient_zero_fault_equivalence;
+    test "loadgen outcomes pinned" loadgen_outcomes_pinned;
+    test "faulted trace order pinned" faulted_trace_pinned;
+    test "loadgen empty run reads zero" loadgen_empty_run;
     test "resilient run under default faults" resilient_default_faults;
     test "admission control sheds" resilient_sheds_under_tiny_cap;
     test "goodput degrades gracefully" degradation_graceful;
